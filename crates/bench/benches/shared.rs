@@ -112,32 +112,48 @@ fn shared_pass(artifact: &Arc<ModelArtifact>, family: &[Formula], threads: usize
 
 /// One hammer pass: `HAMMER_THREADS` threads interleaving lookups and
 /// first-insert-wins inserts over an overlapping key space on a fresh
-/// map with the given shard count. A 1-shard map is the global-mutex
-/// memo the refactor replaced; 16 shards is the artifact's layout.
-fn hammer_pass(name: &'static str, shards: usize) -> usize {
+/// map with the given shard count, returned for inspection. A 1-shard
+/// map is the global-mutex memo the refactor replaced; 16 shards is the
+/// artifact's layout.
+fn hammer_pass(name: &'static str, shards: usize) -> ShardMap<u64, Arc<u64>> {
     let map: ShardMap<u64, Arc<u64>> = ShardMap::with_shards(name, shards);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..HAMMER_THREADS)
-            .map(|t| {
-                let map = &map;
-                scope.spawn(move || {
-                    let mut found = 0usize;
-                    for j in 0..HAMMER_OPS {
-                        let key =
-                            (j as u64).wrapping_mul(17).wrapping_add(t as u64 * 7) % HAMMER_KEYS;
-                        match map.get(&key) {
-                            Some(v) => found += *v as usize,
-                            None => {
-                                map.insert_or_get(key, Arc::new(key));
-                            }
+        for t in 0..HAMMER_THREADS {
+            let map = &map;
+            scope.spawn(move || {
+                let mut found = 0u64;
+                for j in 0..HAMMER_OPS {
+                    let key = (j as u64).wrapping_mul(17).wrapping_add(t as u64 * 7) % HAMMER_KEYS;
+                    match map.get(&key) {
+                        Some(v) => found += *v,
+                        None => {
+                            map.insert_or_get(key, Arc::new(key));
                         }
                     }
-                    found
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("hammer")).sum()
-    })
+                }
+                std::hint::black_box(found)
+            });
+        }
+    });
+    map
+}
+
+/// The hammer's schedule-independent outcome: whichever thread inserts
+/// a key first, the pass must end with every key in `0..HAMMER_KEYS`
+/// mapped to itself and nothing else.
+fn assert_hammer_complete(map: &ShardMap<u64, Arc<u64>>, shards: usize) {
+    assert_eq!(
+        map.len(),
+        HAMMER_KEYS as usize,
+        "{shards}-shard hammer lost or duplicated keys"
+    );
+    for key in 0..HAMMER_KEYS {
+        assert_eq!(
+            map.get(&key).as_deref(),
+            Some(&key),
+            "{shards}-shard hammer left key {key} unmapped or mismapped"
+        );
+    }
 }
 
 fn main() {
@@ -210,12 +226,10 @@ fn main() {
     // 16-shard map and on a 1-shard map (= one mutex around one
     // HashMap, the pre-refactor memo layout).
     // ------------------------------------------------------------------
-    let check16 = hammer_pass("bench.hammer_check16", 16);
-    let check1 = hammer_pass("bench.hammer_check1", 1);
-    assert_eq!(
-        check16, check1,
-        "shard count must be observationally invisible"
-    );
+    // Shard count must be observationally invisible: both layouts end
+    // the pass holding exactly the same complete map.
+    assert_hammer_complete(&hammer_pass("bench.hammer_check16", 16), 16);
+    assert_hammer_complete(&hammer_pass("bench.hammer_check1", 1), 1);
     let sharded = kpa_bench::bench_time(
         &format!("memo_hammer/shards=16/{HAMMER_KEYS}"),
         reps,

@@ -1,4 +1,5 @@
-//! The immutable model artifact and its per-query evaluation contexts.
+//! The production evaluator: the immutable model artifact and its
+//! per-query evaluation contexts.
 //!
 //! The paper's decision procedures — `K_i φ`, `Pr_i ≥ α φ`, the
 //! temporal operators — are pure functions of an immutable system and
@@ -7,36 +8,41 @@
 //!
 //! * [`ModelArtifact`] — the shareable half: an `Arc<System>`, the
 //!   sample-space assignment's [`AssignCore`] (sharded space cache +
-//!   write-once per-agent plan table), and the three evaluation memos
-//!   as 16-way [`ShardMap`]s. The artifact is `Send + Sync` and is
-//!   meant to be built **once** and shared as `Arc<ModelArtifact>`
-//!   across any number of query threads; there is no global mutex on
-//!   any query path — only shard-level locks, held for single
-//!   lookups/inserts.
+//!   write-once per-agent plan table), the hash-consing
+//!   [`FormulaArena`], and the three evaluation memos as 16-way
+//!   [`ShardMap`]s. The artifact is `Send + Sync` and is meant to be
+//!   built **once** and shared as `Arc<ModelArtifact>` across any
+//!   number of query threads; there is no global mutex on any query
+//!   path — only shard-level locks, held for single lookups/inserts.
 //! * [`EvalCtx`] — the per-query half: a cheap, single-thread handle
-//!   carrying per-context scratch state (currently a query counter).
-//!   Each thread mints its own context with [`ModelArtifact::ctx`];
-//!   contexts are deliberately `!Sync` so scratch state never needs
-//!   atomics.
+//!   carrying per-context scratch state (a query counter and the
+//!   request's trace id). Each thread mints its own context with
+//!   [`ModelArtifact::ctx`]; contexts are deliberately `!Sync` so
+//!   scratch state never needs atomics.
 //!
-//! The classic borrowing [`Model`](crate::Model) is now a thin facade
-//! over the same evaluator (see [`EvalView`]) with *per-model* memos,
-//! kept for single-system scripts and for differential tests that need
-//! memo-scoped observability; results are bit-identical by
-//! construction, because both run the identical [`EvalView`] code over
-//! the identical [`AssignCore`].
+//! Queries are compiled into the arena's interned DAG and evaluated
+//! per distinct subterm; this is the evaluator `kpa-serve` runs. The
+//! borrowing [`Model`](crate::Model) is the *reference*: a tree walker
+//! over the `Formula` AST with no logic-level memo beyond its formula
+//! cache, kept so the differential suites (and the repository
+//! benchmark's output check) have an independent definition to compare
+//! against.
+//! Both share the plain functions below — the `K_i` class scan, the
+//! `Pr_i ≥ α` sweep, the `U` fixpoint and the `C_G` fixpoint — so the
+//! two differ exactly in compilation and memoization, which is what the
+//! differentials prove invisible.
 //!
 //! Sharding never affects results: every memo key lives in exactly one
 //! shard, values are pure functions of their keys, and racing builders
 //! insert structurally identical values (first insert wins). The
 //! differential suite (`tests/shared_artifact_differential.rs`)
 //! hammers one artifact from several threads and asserts word-level
-//! bit-equality with a serial facade evaluation.
+//! bit-equality with the serial reference.
 
 use crate::compile::{CompiledFormula, FormulaArena, Term, TermId};
 use crate::error::LogicError;
 use crate::formula::Formula;
-use kpa_assign::{AssignCore, Assignment, DensePointSpace, SamplePlan, ShardMap};
+use kpa_assign::{AssignCore, Assignment, DensePointSpace, ShardMap};
 use kpa_measure::Rat;
 use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, PointSet, System};
@@ -44,642 +50,201 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Minimum local classes per chunk before `knows_set` fans out.
+/// Minimum local classes per chunk before the `K_i` scan fans out.
 const KNOWS_MIN_CHUNK: usize = 8;
 
-/// Minimum points per chunk before `pr_ge_set` fans out.
+/// Minimum points per chunk before the `Pr_i ≥ α` sweep fans out.
 const PR_MIN_CHUNK: usize = 64;
+
+/// `Kᵢ S`: the points where agent `i` knows the set `S`. One word-wise
+/// subset test per local class — a class is absorbed whole or not at
+/// all — parallelized over chunks of the agent's class list. Partial
+/// unions combine in chunk order, so the result is bit-identical at any
+/// thread count.
+pub(crate) fn knows_scan(sys: &System, agent: AgentId, sat: &PointSet) -> PointSet {
+    kpa_trace::count!("logic.knows_scan");
+    let classes: Vec<&PointSet> = sys.local_classes(agent).map(|(_, class)| class).collect();
+    let partials = Pool::current().par_map_chunks(classes.len(), KNOWS_MIN_CHUNK, |range| {
+        let mut acc = sys.empty_points();
+        for class in &classes[range] {
+            if class.is_subset(sat) {
+                acc.union_with(class);
+            }
+        }
+        acc
+    });
+    let mut acc = sys.empty_points();
+    for partial in partials {
+        acc.union_with(&partial);
+    }
+    acc
+}
+
+/// `Prᵢ(S) ≥ αⱼ` for every threshold in `alphas`, in one sweep over the
+/// points: each point's space is resolved through the agent's batched
+/// [`kpa_assign::SamplePlan`] (per-point fallback, with its exact
+/// errors, where the plan has no entry), each distinct space's inner
+/// measure is computed once per chunk through `inner`, and thresholded
+/// once per α. Measures are exact rationals, so a k-threshold sweep is
+/// bit-identical to k single-threshold sweeps; partial unions combine
+/// in chunk (= ascending point) order, so results are width-invariant.
+pub(crate) fn pr_ge_sweep(
+    sys: &System,
+    core: &AssignCore,
+    agent: AgentId,
+    alphas: &[Rat],
+    sat: &PointSet,
+    inner: &(dyn Fn(&Arc<DensePointSpace>, &PointSet) -> Rat + Sync),
+) -> Result<Vec<PointSet>, LogicError> {
+    let k = alphas.len();
+    let points: Vec<PointId> = sys.points().collect();
+    // One exact-footprint pass before the fan-out: every class space
+    // below measures this set through its footprint hint, so the
+    // tightest range multiplies across thousands of queries.
+    let sat = &{
+        let mut s = sat.clone();
+        s.tighten_footprint();
+        s
+    };
+    // Fetched once per sweep, outside the fan-out, so chunks share one
+    // immutable table; plan slots are write-once, so the warm fetch is
+    // a single atomic load.
+    let plan = core.sample_plan(sys, agent);
+    let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
+        let mut accs: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
+        let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
+        let mut hits = 0u64;
+        let mut fallbacks = 0u64;
+        for &c in &points[range] {
+            // Borrowed from the plan on the hot path: no refcount
+            // traffic per point.
+            let fallback;
+            let space = match plan.space(c) {
+                Some(space) => {
+                    hits += 1;
+                    space
+                }
+                None => {
+                    fallbacks += 1;
+                    fallback = core.space(sys, agent, c)?;
+                    &fallback
+                }
+            };
+            let verdicts = &*by_space.entry(Arc::as_ptr(space)).or_insert_with(|| {
+                let measure = inner(space, sat);
+                alphas.iter().map(|alpha| measure >= *alpha).collect()
+            });
+            for (acc, &ok) in accs.iter_mut().zip(verdicts) {
+                if ok {
+                    acc.insert(c);
+                }
+            }
+        }
+        kpa_trace::count!("logic.plan_hit", hits);
+        kpa_trace::count!("logic.plan_fallback", fallbacks);
+        Ok::<Vec<PointSet>, LogicError>(accs)
+    });
+    let mut out: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
+    for partial in partials {
+        for (acc, set) in out.iter_mut().zip(partial?) {
+            acc.union_with(&set);
+        }
+    }
+    Ok(out)
+}
+
+/// `φ U ψ` from the two satisfaction sets: the least fixpoint of
+/// `X = ψ ∪ (φ ∩ ◯X)`. Converges in at most `horizon` rounds of
+/// O(words) shifts.
+pub(crate) fn until_set(hold: &PointSet, goal: &PointSet) -> PointSet {
+    let mut acc = goal.clone();
+    loop {
+        kpa_trace::count!("logic.until_iters");
+        let mut next = acc.precursors();
+        next.intersect_with(hold);
+        next.union_with(goal);
+        if next == acc {
+            return acc;
+        }
+        acc = next;
+    }
+}
+
+/// The Section 8 group fixpoints: the greatest fixed point, from the
+/// set of all points, of `X ↦ ⋂_{i ∈ G} step(i, φ ∩ X)`. `C_G φ` steps
+/// with `Kᵢ`; `C_G^α φ` with `Kᵢ^α = Kᵢ(Prᵢ ≥ α)`. `group` must be
+/// nonempty (callers report [`LogicError::EmptyGroup`] before they
+/// evaluate `φ`, which fixes the error-discovery order).
+pub(crate) fn common_gfp(
+    all: &PointSet,
+    group: &[AgentId],
+    phi: &PointSet,
+    mut step: impl FnMut(AgentId, &PointSet) -> Result<PointSet, LogicError>,
+) -> Result<PointSet, LogicError> {
+    let mut current = all.clone();
+    loop {
+        kpa_trace::count!("logic.gfp_iters");
+        let body = phi.intersection(&current);
+        let mut next: Option<PointSet> = None;
+        for &i in group {
+            let k = step(i, &body)?;
+            next = Some(match next {
+                None => k,
+                Some(mut acc) => {
+                    acc.intersect_with(&k);
+                    acc
+                }
+            });
+        }
+        let next = next.expect("nonempty group");
+        if next == current {
+            return Ok(current);
+        }
+        current = next;
+    }
+}
 
 /// The three evaluation memos, each a sharded concurrent map:
 ///
 /// * `cache` — whole formula → satisfaction set (the entry-point memo
-///   keyed by the uncompiled AST, so facade callers skip compilation
-///   entirely on repeat queries);
+///   keyed by the uncompiled AST, so repeat queries skip compilation
+///   entirely);
 /// * `terms` — interned [`TermId`] → satisfaction set: **one** unified
 ///   per-subterm memo covering every node of the compiled DAG *and*
 ///   the set-level `K_i ⌜S⌝` / `Pr_i ≥ α ⌜S⌝` queries (quoted as
-///   [`Term::Lit`] leaves). This replaced the separate
-///   `(agent, set)`-keyed knows memo — one map means the structural
-///   and set-level caches cannot drift;
+///   [`Term::Lit`] leaves), so the structural and set-level caches
+///   cannot drift;
 /// * `pr` — `(space identity, sat set) → (μ_ic)⁎(sat)`, shared across
-///   chunks, thresholds `α`, and formulas.
-///
-/// `terms`/`pr` are optional because the differential suites prove
-/// memo invisibility by turning them off; the artifact always enables
-/// both.
-pub(crate) struct EvalMemos {
-    pub(crate) cache: ShardMap<Formula, Arc<PointSet>>,
-    pub(crate) terms: Option<ShardMap<TermId, Arc<PointSet>>>,
-    pub(crate) pr: Option<ShardMap<(usize, PointSet), Rat>>,
-}
-
-impl EvalMemos {
-    /// Fresh, empty memos with the per-subterm and `Pr` memos each
-    /// enabled or disabled. The formula cache is always on (sharing
-    /// satisfaction-set `Arc`s is part of the `sat` contract).
-    pub(crate) fn new(terms: bool, pr: bool) -> EvalMemos {
-        EvalMemos {
-            cache: ShardMap::new("logic.sat_cache"),
-            terms: terms.then(|| ShardMap::new("logic.subterm_memo")),
-            pr: pr.then(|| ShardMap::new("logic.pr_memo")),
-        }
-    }
+///   chunks, thresholds `α`, and formulas. Ablated on the repository
+///   benchmark's `cold-distinct` workload, where dropping it cut the
+///   query rate by about 2.7× (DESIGN §3.2d).
+struct EvalMemos {
+    cache: ShardMap<Formula, Arc<PointSet>>,
+    terms: ShardMap<TermId, Arc<PointSet>>,
+    pr: ShardMap<(usize, PointSet), Rat>,
 }
 
 impl std::fmt::Debug for EvalMemos {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalMemos")
             .field("cache", &self.cache.len())
-            .field("terms", &self.terms.as_ref().map(ShardMap::len))
-            .field("pr", &self.pr.as_ref().map(ShardMap::len))
+            .field("terms", &self.terms.len())
+            .field("pr", &self.pr.len())
             .finish()
-    }
-}
-
-/// One borrowed view over everything a single evaluation needs: the
-/// system, the assignment core, the full point set, the memos, and the
-/// plan knob. Both [`ModelArtifact`] (via [`EvalCtx`]) and the classic
-/// [`Model`](crate::Model) facade evaluate through this one type, so
-/// their semantics cannot drift apart.
-pub(crate) struct EvalView<'e> {
-    pub(crate) sys: &'e System,
-    pub(crate) core: &'e AssignCore,
-    pub(crate) all: &'e Arc<PointSet>,
-    pub(crate) memos: &'e EvalMemos,
-    /// The hash-consing arena the compiled path interns into (owned by
-    /// the model/artifact, like the memos).
-    pub(crate) arena: &'e FormulaArena,
-    /// Whether `pr_ge_set` resolves spaces through the batched
-    /// [`SamplePlan`] table (off only for differential testing).
-    pub(crate) plan: bool,
-}
-
-impl EvalView<'_> {
-    /// The exact set of points satisfying `f`. See
-    /// [`Model::sat`](crate::Model::sat) for the error contract.
-    pub(crate) fn sat(&self, f: &Formula) -> Result<Arc<PointSet>, LogicError> {
-        if let Some(hit) = self.memos.cache.get(f) {
-            kpa_trace::count!("logic.sat_cache_hit");
-            return Ok(hit);
-        }
-        // One evaluated formula node (sub-nodes recurse through `sat`
-        // and are counted at their own entry).
-        kpa_trace::count!("logic.sat_eval");
-        let sys = self.sys;
-        let result: PointSet = match f {
-            Formula::True => (**self.all).clone(),
-            Formula::Prop(name) => {
-                let id = sys
-                    .prop_id(name)
-                    .ok_or_else(|| LogicError::UnknownProp { name: name.clone() })?;
-                sys.points_satisfying(id)
-            }
-            Formula::Not(x) => self.sat(x)?.complement(),
-            Formula::And(xs) => {
-                let mut acc = (**self.all).clone();
-                for x in xs {
-                    acc.intersect_with(&*self.sat(x)?);
-                }
-                acc
-            }
-            Formula::Or(xs) => {
-                let mut acc = sys.empty_points();
-                for x in xs {
-                    acc.union_with(&*self.sat(x)?);
-                }
-                acc
-            }
-            Formula::Knows(i, x) => self.knows_set(*i, &*self.sat(x)?),
-            Formula::PrGe(i, alpha, x) => self.pr_ge_set(*i, *alpha, &*self.sat(x)?)?,
-            // ◯φ: the points whose time-successor satisfies φ — one
-            // word shift in the dense layout.
-            Formula::Next(x) => self.sat(x)?.precursors(),
-            // φ U ψ: least fixpoint of X = ψ ∪ (φ ∩ ◯X). Converges in
-            // at most `horizon` rounds of O(words) shifts, replacing
-            // the old per-run backward scans.
-            Formula::Until(x, y) => {
-                let hold = self.sat(x)?;
-                let goal = self.sat(y)?;
-                let mut acc = (*goal).clone();
-                loop {
-                    kpa_trace::count!("logic.until_iters");
-                    let mut next = acc.precursors();
-                    next.intersect_with(&hold);
-                    next.union_with(&goal);
-                    if next == acc {
-                        break acc;
-                    }
-                    acc = next;
-                }
-            }
-            Formula::Common(group, x) => {
-                if group.is_empty() {
-                    return Err(LogicError::EmptyGroup);
-                }
-                let phi = self.sat(x)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        let k = self.knows_set(i, &body);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
-            }
-            Formula::CommonGe(group, alpha, x) => {
-                if group.is_empty() {
-                    return Err(LogicError::EmptyGroup);
-                }
-                let phi = self.sat(x)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        // Kᵢ^α(body) = Kᵢ(Prᵢ(body) ≥ α).
-                        let pr = self.pr_ge_set(i, *alpha, &body)?;
-                        let k = self.knows_set(i, &pr);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
-            }
-        };
-        // Racing evaluators of the same formula insert identical sets;
-        // whichever wins, every caller gets the same shared `Arc`.
-        Ok(self.memos.cache.insert_or_get(f.clone(), Arc::new(result)))
-    }
-
-    /// `sat` through the formula compiler: hash-cons `f` into the
-    /// arena's interned DAG and evaluate per distinct subterm, so a
-    /// subterm shared with *any* previously compiled query is a single
-    /// memo hit instead of a re-walk. Bit-identical to [`EvalView::sat`]
-    /// — same arm logic, same visit order, same error discovery —
-    /// pinned by `tests/compile_differential.rs`.
-    pub(crate) fn sat_compiled(&self, f: &Formula) -> Result<Arc<PointSet>, LogicError> {
-        if let Some(hit) = self.memos.cache.get(f) {
-            kpa_trace::count!("logic.sat_cache_hit");
-            return Ok(hit);
-        }
-        let compiled = self.arena.compile(f);
-        let result = self.eval_compiled(&compiled)?;
-        Ok(self.memos.cache.insert_or_get(f.clone(), result))
-    }
-
-    /// Evaluates an already-compiled formula against this view.
-    pub(crate) fn eval_compiled(
-        &self,
-        compiled: &CompiledFormula,
-    ) -> Result<Arc<PointSet>, LogicError> {
-        let defs = compiled.defs();
-        let mut env: HashMap<TermId, Arc<PointSet>> = HashMap::new();
-        self.eval_term(compiled.root(), &defs, &mut env)
-    }
-
-    /// Evaluates one interned subterm, recursing over the DAG in
-    /// exactly the order the tree walker visits the AST (children left
-    /// to right, `C_G` group checks before bodies). `env` collapses
-    /// repeats *within* this evaluation even when the shared memo is
-    /// disabled; the shared `terms` memo collapses repeats across
-    /// queries, contexts, and threads.
-    fn eval_term(
-        &self,
-        id: TermId,
-        defs: &HashMap<TermId, &Term>,
-        env: &mut HashMap<TermId, Arc<PointSet>>,
-    ) -> Result<Arc<PointSet>, LogicError> {
-        if let Some(hit) = env.get(&id) {
-            return Ok(Arc::clone(hit));
-        }
-        if let Some(memo) = &self.memos.terms {
-            if let Some(hit) = memo.get(&id) {
-                kpa_trace::count!("logic.subterm_memo.hit");
-                env.insert(id, Arc::clone(&hit));
-                return Ok(hit);
-            }
-            kpa_trace::count!("logic.subterm_memo.miss");
-        }
-        // One evaluated DAG node (mirrors `logic.sat_eval` on the tree
-        // path; shared subterms are counted once, not once per parent).
-        kpa_trace::count!("logic.sat_eval");
-        let sys = self.sys;
-        let term = *defs.get(&id).expect("compiled program covers its subterms");
-        let result: PointSet = match term {
-            Term::True => (**self.all).clone(),
-            Term::Prop(name) => {
-                let pid = sys
-                    .prop_id(name)
-                    .ok_or_else(|| LogicError::UnknownProp { name: name.clone() })?;
-                sys.points_satisfying(pid)
-            }
-            Term::Lit(set) => set.clone(),
-            Term::Not(x) => self.eval_term(*x, defs, env)?.complement(),
-            Term::And(xs) => {
-                let mut acc = (**self.all).clone();
-                for x in xs {
-                    acc.intersect_with(&*self.eval_term(*x, defs, env)?);
-                }
-                acc
-            }
-            Term::Or(xs) => {
-                let mut acc = sys.empty_points();
-                for x in xs {
-                    acc.union_with(&*self.eval_term(*x, defs, env)?);
-                }
-                acc
-            }
-            Term::Knows(i, x) => {
-                let body = self.eval_term(*x, defs, env)?;
-                self.knows_set(*i, &body)
-            }
-            Term::PrGe(i, alpha, x) => {
-                let body = self.eval_term(*x, defs, env)?;
-                self.pr_ge_set(*i, *alpha, &body)?
-            }
-            Term::Next(x) => self.eval_term(*x, defs, env)?.precursors(),
-            Term::Until(x, y) => {
-                let hold = self.eval_term(*x, defs, env)?;
-                let goal = self.eval_term(*y, defs, env)?;
-                let mut acc = (*goal).clone();
-                loop {
-                    kpa_trace::count!("logic.until_iters");
-                    let mut next = acc.precursors();
-                    next.intersect_with(&hold);
-                    next.union_with(&goal);
-                    if next == acc {
-                        break acc;
-                    }
-                    acc = next;
-                }
-            }
-            Term::Common(group, x) => {
-                if group.is_empty() {
-                    return Err(LogicError::EmptyGroup);
-                }
-                let phi = self.eval_term(*x, defs, env)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        let k = self.knows_set(i, &body);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
-            }
-            Term::CommonGe(group, alpha, x) => {
-                if group.is_empty() {
-                    return Err(LogicError::EmptyGroup);
-                }
-                let phi = self.eval_term(*x, defs, env)?;
-                self.gfp(|current| {
-                    let body = phi.intersection(current);
-                    let mut acc: Option<PointSet> = None;
-                    for &i in group {
-                        // Kᵢ^α(body) = Kᵢ(Prᵢ(body) ≥ α).
-                        let pr = self.pr_ge_set(i, *alpha, &body)?;
-                        let k = self.knows_set(i, &pr);
-                        acc = Some(match acc {
-                            None => k,
-                            Some(mut a) => {
-                                a.intersect_with(&k);
-                                a
-                            }
-                        });
-                    }
-                    Ok(acc.expect("nonempty group"))
-                })?
-            }
-        };
-        let shared = match &self.memos.terms {
-            Some(memo) => memo.insert_or_get(id, Arc::new(result)),
-            None => Arc::new(result),
-        };
-        env.insert(id, Arc::clone(&shared));
-        Ok(shared)
-    }
-
-    /// Answers the whole threshold family `Pr_agent ≥ α₁…α_k f` in one
-    /// equivalence-class sweep: the body is evaluated once, each
-    /// distinct sample space's inner measure is computed once and
-    /// thresholded k times, and the k satisfaction sets come back in
-    /// `alphas` order. Every member is memoized exactly as if asked
-    /// serially (formula cache + interned `Pr_i ≥ α ⌜S⌝` subterm), and
-    /// the answers are bit-identical to k serial [`EvalView::sat`]
-    /// calls — thresholding a class once per α against the same exact
-    /// rational measure is the same comparison the serial sweep makes,
-    /// and partial unions combine in the same chunk order.
-    pub(crate) fn pr_ge_family(
-        &self,
-        agent: AgentId,
-        alphas: &[Rat],
-        f: &Formula,
-    ) -> Result<Vec<Arc<PointSet>>, LogicError> {
-        let members: Vec<Formula> = alphas
-            .iter()
-            .map(|&alpha| f.clone().pr_ge(agent, alpha))
-            .collect();
-        // Fast path: the whole family has been answered before.
-        let cached: Vec<Option<Arc<PointSet>>> =
-            members.iter().map(|m| self.memos.cache.get(m)).collect();
-        if cached.iter().all(Option::is_some) {
-            kpa_trace::count!("logic.sat_cache_hit", members.len() as u64);
-            return Ok(cached.into_iter().flatten().collect());
-        }
-        // Compiling each member hash-conses the shared body once; the
-        // k−1 re-interns are where `logic.terms_deduped` earns its
-        // keep on family workloads.
-        let compiled: Vec<CompiledFormula> =
-            members.iter().map(|m| self.arena.compile(m)).collect();
-        let body = self.eval_compiled(&self.arena.compile(f))?;
-        let sets = self.family_sweep(agent, alphas, &body)?;
-        let mut out = Vec::with_capacity(sets.len());
-        for (((member, set), compiled), &alpha) in
-            members.into_iter().zip(sets).zip(&compiled).zip(alphas)
-        {
-            let shared = match &self.memos.terms {
-                Some(memo) => {
-                    // Key under both spellings of the member — the
-                    // structural `Pr_i ≥ α φ` term and the set-level
-                    // `Pr_i ≥ α ⌜S⌝` term — so later structural
-                    // queries *and* raw-set sweeps hit.
-                    let set_id = self.arena.pr_ge_of_set(agent, alpha, &body);
-                    let shared = memo.insert_or_get(compiled.root(), Arc::new(set));
-                    memo.insert_or_get(set_id, Arc::clone(&shared));
-                    shared
-                }
-                None => Arc::new(set),
-            };
-            out.push(self.memos.cache.insert_or_get(member, shared));
-        }
-        Ok(out)
-    }
-
-    /// The one-sweep kernel behind [`EvalView::pr_ge_family`]: walk the
-    /// points once, resolve each point's space once (plan table first,
-    /// per-point fallback on the exact points the serial sweep falls
-    /// back on), compute each distinct space's inner measure once, and
-    /// emit one verdict bit per α. Thresholding is exact — measures
-    /// are exact rationals, so `inner ≥ α` per class is precisely what
-    /// k independent sweeps would compute.
-    fn family_sweep(
-        &self,
-        agent: AgentId,
-        alphas: &[Rat],
-        sat: &PointSet,
-    ) -> Result<Vec<PointSet>, LogicError> {
-        let sys = self.sys;
-        let k = alphas.len();
-        let points: Vec<PointId> = sys.points().collect();
-        // One exact-footprint pass before the fan-out: every class
-        // space below measures this set through its footprint hint, so
-        // the tightest range multiplies across thousands of queries.
-        let sat = &{
-            let mut s = sat.clone();
-            s.tighten_footprint();
-            s
-        };
-        // Fetched once per sweep, outside the fan-out (see pr_ge_set).
-        let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
-        let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
-            let mut accs: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
-            let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
-            let mut hits = 0u64;
-            let mut fallbacks = 0u64;
-            for &c in &points[range] {
-                let space = match plan.as_ref().and_then(|p| p.space(c)) {
-                    Some(space) => {
-                        hits += 1;
-                        Arc::clone(space)
-                    }
-                    None => {
-                        fallbacks += 1;
-                        self.core.space(sys, agent, c)?
-                    }
-                };
-                let key = Arc::as_ptr(&space);
-                let verdicts = &*by_space.entry(key).or_insert_with(|| {
-                    let inner = self.inner_of(&space, sat);
-                    alphas.iter().map(|alpha| inner >= *alpha).collect()
-                });
-                for (acc, &ok) in accs.iter_mut().zip(verdicts) {
-                    if ok {
-                        acc.insert(c);
-                    }
-                }
-            }
-            kpa_trace::count!("logic.plan_hit", hits);
-            kpa_trace::count!("logic.plan_fallback", fallbacks);
-            Ok::<Vec<PointSet>, LogicError>(accs)
-        });
-        let mut out: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
-        for partial in partials {
-            for (acc, set) in out.iter_mut().zip(partial?) {
-                acc.union_with(&set);
-            }
-        }
-        Ok(out)
-    }
-
-    /// `Kᵢ S` through the unified per-subterm memo when enabled: the
-    /// query is interned as `K_agent ⌜S⌝` and cached under its
-    /// [`TermId`], so the tree walker, the compiled DAG evaluator, and
-    /// raw-set callers all share one cache. See
-    /// [`Model::knows_set`](crate::Model::knows_set).
-    pub(crate) fn knows_set(&self, agent: AgentId, sat: &PointSet) -> PointSet {
-        if let Some(memo) = &self.memos.terms {
-            let id = self.arena.knows_of_set(agent, sat);
-            if let Some(hit) = memo.get(&id) {
-                kpa_trace::count!("logic.knows_memo_hit");
-                kpa_trace::count!("logic.subterm_memo.hit");
-                return (*hit).clone();
-            }
-            kpa_trace::count!("logic.subterm_memo.miss");
-            let fresh = self.knows_set_fresh(agent, sat);
-            // The scan ran outside the lock; concurrent sweeps may
-            // compute the same (identical) set — either insert wins.
-            return (*memo.insert_or_get(id, Arc::new(fresh))).clone();
-        }
-        self.knows_set_fresh(agent, sat)
-    }
-
-    /// `knows_set` without consulting or filling the memo: the direct
-    /// per-class subset scan, parallelized over chunks of the agent's
-    /// local-class list. Partial unions combine in chunk order, so the
-    /// result is bit-identical at any thread count.
-    pub(crate) fn knows_set_fresh(&self, agent: AgentId, sat: &PointSet) -> PointSet {
-        kpa_trace::count!("logic.knows_scan");
-        let sys = self.sys;
-        let classes: Vec<&PointSet> = sys.local_classes(agent).map(|(_, class)| class).collect();
-        let partials = Pool::current().par_map_chunks(classes.len(), KNOWS_MIN_CHUNK, |range| {
-            let mut acc = sys.empty_points();
-            for class in &classes[range] {
-                if class.is_subset(sat) {
-                    acc.union_with(class);
-                }
-            }
-            acc
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial);
-        }
-        acc
-    }
-
-    /// `Prᵢ(S) ≥ α` as a set. See
-    /// [`Model::pr_ge_set`](crate::Model::pr_ge_set) for the full
-    /// contract; the sweep is chunk-deterministic and every cache it
-    /// consults stores pure functions of its keys, so partials stay
-    /// bit-identical to a serial, memo-free, unplanned sweep.
-    pub(crate) fn pr_ge_set(
-        &self,
-        agent: AgentId,
-        alpha: Rat,
-        sat: &PointSet,
-    ) -> Result<PointSet, LogicError> {
-        if let Some(memo) = &self.memos.terms {
-            // Interned as `Pr_agent ≥ α ⌜sat⌝`; only successful sweeps
-            // are cached, so error behavior is identical on repeats.
-            let id = self.arena.pr_ge_of_set(agent, alpha, sat);
-            if let Some(hit) = memo.get(&id) {
-                kpa_trace::count!("logic.subterm_memo.hit");
-                return Ok((*hit).clone());
-            }
-            kpa_trace::count!("logic.subterm_memo.miss");
-            let fresh = self.pr_ge_sweep(agent, alpha, sat)?;
-            return Ok((*memo.insert_or_get(id, Arc::new(fresh))).clone());
-        }
-        self.pr_ge_sweep(agent, alpha, sat)
-    }
-
-    /// The raw `Prᵢ(S) ≥ α` class sweep behind [`EvalView::pr_ge_set`],
-    /// bypassing the subterm memo (the per-class `Pr` memo and the
-    /// sample plan still apply).
-    fn pr_ge_sweep(
-        &self,
-        agent: AgentId,
-        alpha: Rat,
-        sat: &PointSet,
-    ) -> Result<PointSet, LogicError> {
-        let sys = self.sys;
-        let points: Vec<PointId> = sys.points().collect();
-        // As in family_sweep: tighten once so the per-class kernels get
-        // the exact footprint hint.
-        let sat = &{
-            let mut s = sat.clone();
-            s.tighten_footprint();
-            s
-        };
-        // Fetched once per sweep, outside the fan-out, so chunks share
-        // one immutable table; the artifact's plan slots are write-once,
-        // so the warm fetch is a single atomic load.
-        let plan: Option<Arc<SamplePlan>> = self.plan.then(|| self.core.sample_plan(sys, agent));
-        let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
-            let mut acc = sys.empty_points();
-            let mut by_space: HashMap<*const DensePointSpace, bool> = HashMap::new();
-            let mut hits = 0u64;
-            let mut fallbacks = 0u64;
-            for &c in &points[range] {
-                let space = match plan.as_ref().and_then(|p| p.space(c)) {
-                    Some(space) => {
-                        hits += 1;
-                        Arc::clone(space)
-                    }
-                    None => {
-                        fallbacks += 1;
-                        self.core.space(sys, agent, c)?
-                    }
-                };
-                let key = Arc::as_ptr(&space);
-                let ok = match by_space.get(&key) {
-                    Some(&ok) => ok,
-                    None => {
-                        let ok = self.inner_of(&space, sat) >= alpha;
-                        by_space.insert(key, ok);
-                        ok
-                    }
-                };
-                if ok {
-                    acc.insert(c);
-                }
-            }
-            kpa_trace::count!("logic.plan_hit", hits);
-            kpa_trace::count!("logic.plan_fallback", fallbacks);
-            Ok::<PointSet, LogicError>(acc)
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial?);
-        }
-        Ok(acc)
-    }
-
-    /// The inner measure of `sat` in `space`, through the per-class
-    /// memo when enabled. The memo key pairs the space cache `Arc`'s
-    /// address (stable for the life of the core — the space cache never
-    /// evicts) with the sat-set fingerprint. Concurrent chunks may
-    /// compute the same measure once each before one insert wins; the
-    /// value is a pure function of the key, so results are unaffected.
-    fn inner_of(&self, space: &Arc<DensePointSpace>, sat: &PointSet) -> Rat {
-        let Some(memo) = &self.memos.pr else {
-            return space.inner_measure(sat);
-        };
-        let key = (Arc::as_ptr(space) as usize, sat.clone());
-        if let Some(hit) = memo.get(&key) {
-            kpa_trace::count!("logic.pr_memo_hit");
-            return hit;
-        }
-        kpa_trace::count!("logic.pr_memo_miss");
-        // Measured outside the lock.
-        memo.insert_or_get(key, space.inner_measure(sat))
-    }
-
-    /// Greatest fixed point of a monotone set operator, starting from
-    /// the set of all points.
-    fn gfp(
-        &self,
-        mut op: impl FnMut(&PointSet) -> Result<PointSet, LogicError>,
-    ) -> Result<PointSet, LogicError> {
-        let mut current: PointSet = (**self.all).clone();
-        loop {
-            kpa_trace::count!("logic.gfp_iters");
-            let next = op(&current)?;
-            if next == current {
-                return Ok(current);
-            }
-            current = next;
-        }
     }
 }
 
 /// An immutable, shareable model-checking artifact: one system + one
 /// sample-space assignment, with every derived structure — canonical
-/// spaces, batched [`SamplePlan`]s, and the three evaluation memos —
-/// owned by the artifact and guarded only by shard-level locks.
+/// spaces, batched [`kpa_assign::SamplePlan`]s, the interned query DAG,
+/// and the three evaluation memos — owned by the artifact and guarded
+/// only by shard-level locks.
 ///
 /// Build it once, wrap it in an [`Arc`], and hand clones to as many
 /// threads as you like; each thread mints a cheap [`EvalCtx`] and
 /// queries away. Memos warm *across* threads: a satisfaction set
-/// computed by one client is a shard-map hit for every other.
+/// computed by one client is a shard-map hit for every other. A fresh
+/// artifact is also how a caller gets fresh memos.
 ///
 /// # Examples
 ///
@@ -726,10 +291,10 @@ pub struct ModelArtifact {
 
 impl ModelArtifact {
     /// Builds the artifact for `assignment` over `sys`, eagerly
-    /// building the per-agent [`SamplePlan`] table so the first query
-    /// from every thread starts warm (plan builds walk the whole
-    /// system — exactly the cost an interactive client should not pay
-    /// mid-query).
+    /// building the per-agent [`kpa_assign::SamplePlan`] table so the
+    /// first query from every thread starts warm (plan builds walk the
+    /// whole system — exactly the cost an interactive client should not
+    /// pay mid-query).
     #[must_use]
     pub fn new(sys: Arc<System>, assignment: Assignment) -> ModelArtifact {
         let core = AssignCore::new(assignment, sys.agent_count());
@@ -741,7 +306,11 @@ impl ModelArtifact {
             sys,
             core,
             all,
-            memos: EvalMemos::new(true, true),
+            memos: EvalMemos {
+                cache: ShardMap::new("logic.sat_cache"),
+                terms: ShardMap::new("logic.subterm_memo"),
+                pr: ShardMap::new("logic.pr_memo"),
+            },
             arena: FormulaArena::new(),
         }
     }
@@ -799,11 +368,10 @@ impl ModelArtifact {
 
     /// How many interned-subterm entries the shared per-subterm memo
     /// holds (compiled DAG nodes plus set-level `K_i ⌜S⌝` /
-    /// `Pr_i ≥ α ⌜S⌝` queries — the unified map that replaced the
-    /// separate knows-set memo).
+    /// `Pr_i ≥ α ⌜S⌝` queries).
     #[must_use]
     pub fn subterm_memo_len(&self) -> usize {
-        self.memos.terms.as_ref().map_or(0, ShardMap::len)
+        self.memos.terms.len()
     }
 
     /// How many distinct subterms the artifact's arena has interned
@@ -816,7 +384,7 @@ impl ModelArtifact {
     /// How many `(space, sat set)` entries the shared `Pr` memo holds.
     #[must_use]
     pub fn pr_memo_len(&self) -> usize {
-        self.memos.pr.as_ref().map_or(0, ShardMap::len)
+        self.memos.pr.len()
     }
 
     /// How many per-agent sample plans have been built (all of them,
@@ -826,16 +394,200 @@ impl ModelArtifact {
         self.core.plans_built()
     }
 
-    /// The view the artifact's contexts evaluate through.
-    fn view(&self) -> EvalView<'_> {
-        EvalView {
-            sys: &self.sys,
-            core: &self.core,
-            all: &self.all,
-            memos: &self.memos,
-            arena: &self.arena,
-            plan: true,
+    /// The satisfaction set of `f`: a formula-cache hit, or `f`
+    /// hash-consed into the arena and evaluated per distinct subterm.
+    fn sat(&self, f: &Formula) -> Result<Arc<PointSet>, LogicError> {
+        if let Some(hit) = self.memos.cache.get(f) {
+            kpa_trace::count!("logic.sat_cache_hit");
+            return Ok(hit);
         }
+        let result = self.eval_compiled(&self.arena.compile(f))?;
+        Ok(self.memos.cache.insert_or_get(f.clone(), result))
+    }
+
+    fn eval_compiled(&self, compiled: &CompiledFormula) -> Result<Arc<PointSet>, LogicError> {
+        self.eval_term(compiled.root(), &compiled.defs())
+    }
+
+    /// Evaluates one interned subterm, recursing over the DAG in
+    /// exactly the order the reference tree walker visits the AST
+    /// (children left to right, `C_G` group checks before bodies), so
+    /// results *and* the first error discovered match it. The shared
+    /// `terms` memo collapses repeated subterms within one query and
+    /// across queries, contexts, and threads.
+    fn eval_term(
+        &self,
+        id: TermId,
+        defs: &HashMap<TermId, &Term>,
+    ) -> Result<Arc<PointSet>, LogicError> {
+        if let Some(hit) = self.memos.terms.get(&id) {
+            kpa_trace::count!("logic.subterm_memo.hit");
+            return Ok(hit);
+        }
+        kpa_trace::count!("logic.subterm_memo.miss");
+        // One evaluated DAG node (shared subterms are counted once, not
+        // once per parent).
+        kpa_trace::count!("logic.sat_eval");
+        let sys = &*self.sys;
+        let eval = |x: &TermId| self.eval_term(*x, defs);
+        let result: PointSet = match *defs.get(&id).expect("compiled program covers its subterms") {
+            Term::True => (*self.all).clone(),
+            Term::Prop(name) => {
+                let pid = sys
+                    .prop_id(name)
+                    .ok_or_else(|| LogicError::UnknownProp { name: name.clone() })?;
+                sys.points_satisfying(pid)
+            }
+            Term::Lit(set) => set.clone(),
+            Term::Not(x) => eval(x)?.complement(),
+            Term::And(xs) => {
+                let mut acc = (*self.all).clone();
+                for x in xs {
+                    acc.intersect_with(&*eval(x)?);
+                }
+                acc
+            }
+            Term::Or(xs) => {
+                let mut acc = sys.empty_points();
+                for x in xs {
+                    acc.union_with(&*eval(x)?);
+                }
+                acc
+            }
+            Term::Knows(i, x) => self.knows_set(*i, &*eval(x)?),
+            Term::PrGe(i, alpha, x) => self.pr_ge_set(*i, *alpha, &*eval(x)?)?,
+            Term::Next(x) => eval(x)?.precursors(),
+            Term::Until(x, y) => {
+                let hold = eval(x)?;
+                until_set(&hold, &*eval(y)?)
+            }
+            Term::Common(group, x) => {
+                if group.is_empty() {
+                    return Err(LogicError::EmptyGroup);
+                }
+                common_gfp(&self.all, group, &*eval(x)?, |i, body| {
+                    Ok(self.knows_set(i, body))
+                })?
+            }
+            Term::CommonGe(group, alpha, x) => {
+                if group.is_empty() {
+                    return Err(LogicError::EmptyGroup);
+                }
+                common_gfp(&self.all, group, &*eval(x)?, |i, body| {
+                    Ok(self.knows_set(i, &self.pr_ge_set(i, *alpha, body)?))
+                })?
+            }
+        };
+        Ok(self.memos.terms.insert_or_get(id, Arc::new(result)))
+    }
+
+    /// The threshold family `Pr_agent ≥ α₁…α_k f` in one sweep; see
+    /// [`EvalCtx::pr_ge_family`].
+    fn pr_ge_family(
+        &self,
+        agent: AgentId,
+        alphas: &[Rat],
+        f: &Formula,
+    ) -> Result<Vec<Arc<PointSet>>, LogicError> {
+        let members: Vec<Formula> = alphas
+            .iter()
+            .map(|&alpha| f.clone().pr_ge(agent, alpha))
+            .collect();
+        // Fast path: the whole family has been answered before.
+        let cached: Vec<Option<Arc<PointSet>>> =
+            members.iter().map(|m| self.memos.cache.get(m)).collect();
+        if cached.iter().all(Option::is_some) {
+            kpa_trace::count!("logic.sat_cache_hit", members.len() as u64);
+            return Ok(cached.into_iter().flatten().collect());
+        }
+        // Compiling each member hash-conses the shared body once; the
+        // k−1 re-interns are where `logic.terms_deduped` earns its
+        // keep on family workloads.
+        let compiled: Vec<CompiledFormula> =
+            members.iter().map(|m| self.arena.compile(m)).collect();
+        let body = self.eval_compiled(&self.arena.compile(f))?;
+        let sets = self.pr_ge_sweep(agent, alphas, &body)?;
+        let mut out = Vec::with_capacity(sets.len());
+        for (((member, set), compiled), &alpha) in
+            members.into_iter().zip(sets).zip(&compiled).zip(alphas)
+        {
+            // Key under both spellings of the member — the structural
+            // `Pr_i ≥ α φ` term and the set-level `Pr_i ≥ α ⌜S⌝` term —
+            // so later structural queries *and* raw-set sweeps hit.
+            let set_id = self.arena.pr_ge_of_set(agent, alpha, &body);
+            let shared = self
+                .memos
+                .terms
+                .insert_or_get(compiled.root(), Arc::new(set));
+            self.memos.terms.insert_or_get(set_id, Arc::clone(&shared));
+            out.push(self.memos.cache.insert_or_get(member, shared));
+        }
+        Ok(out)
+    }
+
+    /// `Kᵢ S` through the unified per-subterm memo: the query is
+    /// interned as `K_agent ⌜S⌝` and cached under its [`TermId`], so
+    /// the compiled DAG and raw-set callers share one cache.
+    fn knows_set(&self, agent: AgentId, sat: &PointSet) -> PointSet {
+        let id = self.arena.knows_of_set(agent, sat);
+        if let Some(hit) = self.memos.terms.get(&id) {
+            kpa_trace::count!("logic.knows_memo_hit");
+            kpa_trace::count!("logic.subterm_memo.hit");
+            return (*hit).clone();
+        }
+        kpa_trace::count!("logic.subterm_memo.miss");
+        // The scan ran outside the lock; concurrent sweeps may compute
+        // the same (identical) set — either insert wins.
+        let fresh = knows_scan(&self.sys, agent, sat);
+        (*self.memos.terms.insert_or_get(id, Arc::new(fresh))).clone()
+    }
+
+    /// `Prᵢ(S) ≥ α` through the unified per-subterm memo, interned as
+    /// `Pr_agent ≥ α ⌜S⌝`. Only successful sweeps are cached, so error
+    /// behavior is identical on repeats.
+    fn pr_ge_set(
+        &self,
+        agent: AgentId,
+        alpha: Rat,
+        sat: &PointSet,
+    ) -> Result<PointSet, LogicError> {
+        let id = self.arena.pr_ge_of_set(agent, alpha, sat);
+        if let Some(hit) = self.memos.terms.get(&id) {
+            kpa_trace::count!("logic.subterm_memo.hit");
+            return Ok((*hit).clone());
+        }
+        kpa_trace::count!("logic.subterm_memo.miss");
+        let fresh = self.pr_ge_sweep(agent, &[alpha], sat)?.remove(0);
+        Ok((*self.memos.terms.insert_or_get(id, Arc::new(fresh))).clone())
+    }
+
+    /// The shared [`pr_ge_sweep`], measuring through the `Pr` memo.
+    fn pr_ge_sweep(
+        &self,
+        agent: AgentId,
+        alphas: &[Rat],
+        sat: &PointSet,
+    ) -> Result<Vec<PointSet>, LogicError> {
+        pr_ge_sweep(&self.sys, &self.core, agent, alphas, sat, &|space, s| {
+            self.inner_of(space, s)
+        })
+    }
+
+    /// The inner measure of `sat` in `space`, through the `Pr` memo.
+    /// The key pairs the space cache `Arc`'s address (stable for the
+    /// life of the core — the space cache never evicts) with the
+    /// sat-set fingerprint. Concurrent chunks may compute the same
+    /// measure once each before one insert wins; the value is a pure
+    /// function of the key, so results are unaffected.
+    fn inner_of(&self, space: &Arc<DensePointSpace>, sat: &PointSet) -> Rat {
+        let key = (Arc::as_ptr(space) as usize, sat.clone());
+        if let Some(hit) = self.memos.pr.get(&key) {
+            kpa_trace::count!("logic.pr_memo_hit");
+            return hit;
+        }
+        kpa_trace::count!("logic.pr_memo_miss");
+        // Measured outside the lock.
+        self.memos.pr.insert_or_get(key, space.inner_measure(sat))
     }
 }
 
@@ -904,13 +656,12 @@ impl<'m> EvalCtx<'m> {
     /// The exact set of points satisfying `f`, answered from (and
     /// warming) the artifact's shared memos.
     ///
-    /// Contexts evaluate through the formula compiler: `f` is
-    /// hash-consed into the artifact's shared DAG and every distinct
-    /// subterm's satisfaction set is memoized under its interned id, so
-    /// a query stream sharing subterms (the workload `kpa-serve`
-    /// batches) pays for each subterm once across all contexts.
-    /// Results are bit-identical to the tree walker
-    /// ([`Model::sat`](crate::Model::sat)) by construction — pinned by
+    /// `f` is hash-consed into the artifact's shared DAG and every
+    /// distinct subterm's satisfaction set is memoized under its
+    /// interned id, so a query stream sharing subterms (the workload
+    /// `kpa-serve` batches) pays for each subterm once across all
+    /// contexts. Results and errors are bit-identical to the reference
+    /// tree walker ([`Model::sat`](crate::Model::sat)) — pinned by
     /// `tests/compile_differential.rs`.
     ///
     /// # Errors
@@ -919,7 +670,7 @@ impl<'m> EvalCtx<'m> {
     pub fn sat(&self, f: &Formula) -> Result<Arc<PointSet>, LogicError> {
         self.tick();
         let _req = self.ambient();
-        self.artifact.view().sat_compiled(f)
+        self.artifact.sat(f)
     }
 
     /// Compiles `f` against the artifact's shared arena without
@@ -935,7 +686,9 @@ impl<'m> EvalCtx<'m> {
     /// distinct space's inner measure is computed once and thresholded
     /// k times, and the k sets come back in `alphas` order —
     /// bit-identical to k serial [`EvalCtx::sat`] calls on
-    /// `f.pr_ge(agent, αⱼ)`.
+    /// `f.pr_ge(agent, αⱼ)`. Every member is memoized exactly as if
+    /// asked serially (formula cache + interned `Pr_i ≥ α ⌜S⌝`
+    /// subterm).
     ///
     /// # Errors
     ///
@@ -948,7 +701,7 @@ impl<'m> EvalCtx<'m> {
     ) -> Result<Vec<Arc<PointSet>>, LogicError> {
         self.tick();
         let _req = self.ambient();
-        self.artifact.view().pr_ge_family(agent, alphas, f)
+        self.artifact.pr_ge_family(agent, alphas, f)
     }
 
     /// Whether `f` holds at the point `c`.
@@ -992,15 +745,7 @@ impl<'m> EvalCtx<'m> {
     pub fn knows_set(&self, agent: AgentId, sat: &PointSet) -> PointSet {
         self.tick();
         let _req = self.ambient();
-        self.artifact.view().knows_set(agent, sat)
-    }
-
-    /// `knows_set` without consulting or filling the memo.
-    #[must_use]
-    pub fn knows_set_fresh(&self, agent: AgentId, sat: &PointSet) -> PointSet {
-        self.tick();
-        let _req = self.ambient();
-        self.artifact.view().knows_set_fresh(agent, sat)
+        self.artifact.knows_set(agent, sat)
     }
 
     /// `Prᵢ(S) ≥ α` as a set, through the artifact's shared memos.
@@ -1016,7 +761,7 @@ impl<'m> EvalCtx<'m> {
     ) -> Result<PointSet, LogicError> {
         self.tick();
         let _req = self.ambient();
-        self.artifact.view().pr_ge_set(agent, alpha, sat)
+        self.artifact.pr_ge_set(agent, alpha, sat)
     }
 }
 
@@ -1042,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_matches_the_model_facade() {
+    fn artifact_matches_the_reference_model() {
         let sys = intro_system();
         let pa = kpa_assign::ProbAssignment::new(&sys, Assignment::post());
         let model = crate::Model::new(&pa);
@@ -1060,10 +805,19 @@ mod tests {
             assert_eq!(
                 model.sat(f).unwrap().as_words(),
                 ctx.sat(f).unwrap().as_words(),
-                "artifact diverged from the facade on {f}"
+                "artifact diverged from the reference on {f}"
             );
         }
         assert_eq!(ctx.queries(), formulas.len() as u64);
+        assert!(
+            artifact.subterm_memo_len() > 0,
+            "C_G fixpoint fills the memo"
+        );
+        // A memo-hitting K scan still equals the reference scan.
+        let a = ctx.sat(&formulas[3]).unwrap();
+        for agent in g {
+            assert_eq!(ctx.knows_set(agent, &a), model.knows_set(agent, &a));
+        }
     }
 
     #[test]

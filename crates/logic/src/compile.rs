@@ -96,10 +96,9 @@ impl ArenaInner {
 
 /// A shared hash-consing arena for formula subterms.
 ///
-/// Every [`ModelArtifact`](crate::ModelArtifact) and
-/// [`Model`](crate::Model) owns one; the arena can also stand alone for
-/// structural-equality checks (two formulas compile to the same root
-/// [`TermId`] iff they are equal ASTs).
+/// Every [`ModelArtifact`](crate::ModelArtifact) owns one; the arena
+/// can also stand alone for structural-equality checks (two formulas
+/// compile to the same root [`TermId`] iff they are equal ASTs).
 ///
 /// # Examples
 ///

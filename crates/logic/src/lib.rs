@@ -8,13 +8,21 @@
 //!   (inner-measure semantics for nonmeasurable facts), temporal `◯` and
 //!   `U`, plus derived `Kᵢ^α`, `Kᵢ^{[α,β]}`, `◇`, `□`, `E_G`, and the
 //!   Section 8 fixed points `C_G`, `C_G^α`;
-//! * [`ModelArtifact`] + [`EvalCtx`] — the immutable, `Send + Sync`
-//!   evaluation artifact (system + assignment + sharded memos), built
-//!   once and shared as `Arc<ModelArtifact>` across query threads, with
-//!   cheap per-thread contexts;
-//! * [`Model`] — the classic borrowing facade over the same evaluator,
-//!   checking against a [`ProbAssignment`](kpa_assign::ProbAssignment)
-//!   and returning the exact set of satisfying points.
+//! * [`ModelArtifact`] + [`EvalCtx`] — the production evaluator: an
+//!   immutable, `Send + Sync` artifact (system + assignment + interned
+//!   query DAG + sharded memos), built once and shared as
+//!   `Arc<ModelArtifact>` across query threads, with cheap per-thread
+//!   contexts. `kpa-serve` answers every query through it;
+//! * [`Model`] — the reference: a switch-free tree walker over a
+//!   [`ProbAssignment`](kpa_assign::ProbAssignment) that reads the
+//!   satisfaction relation off the `Formula` AST, one arm per
+//!   constructor. The differential suites check the artifact against
+//!   it, and single-system scripts and the experiment drivers use it
+//!   directly.
+//!
+//! Both share one copy of the `Kᵢ` class scan, the `Prᵢ ≥ α` sweep, and
+//! the `U`/`C_G` fixpoints, so they differ only in compilation and
+//! memoization.
 //!
 //! ## Finite-trace semantics
 //!

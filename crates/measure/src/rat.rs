@@ -6,7 +6,10 @@
 //!
 //! [`Rat`] is an `i128`-backed fraction kept in canonical form: the
 //! denominator is strictly positive and the fraction is fully reduced.
-//! All arithmetic is checked; overflow panics with a descriptive message
+//! Comparison is exact for every pair of values (it widens to 256 bits
+//! when the `i128` cross products overflow), so a client-supplied
+//! threshold can always be compared. Arithmetic is checked; overflow
+//! panics with a descriptive message
 //! (the paper's computations stay far below `i128` range, so an overflow
 //! indicates a logic error rather than a capacity problem).
 
@@ -355,17 +358,43 @@ impl PartialOrd for Rat {
     }
 }
 
+/// The exact 256-bit product `a · b` as `(high, low)` 128-bit halves,
+/// built from four 64×64-bit partial products.
+fn mul_wide(a: u128, b: u128) -> (u128, u128) {
+    const LO: u128 = u64::MAX as u128;
+    let (a1, a0) = (a >> 64, a & LO);
+    let (b1, b0) = (b >> 64, b & LO);
+    let low = a0 * b0;
+    let (mid_a, mid_b) = (a0 * b1, a1 * b0);
+    // At most 3 · (2⁶⁴ − 1): no overflow.
+    let mid = (low >> 64) + (mid_a & LO) + (mid_b & LO);
+    let high = a1 * b1 + (mid_a >> 64) + (mid_b >> 64) + (mid >> 64);
+    (high, (low & LO) | (mid << 64))
+}
+
 impl Ord for Rat {
+    /// Compares `a/b` with `c/d` as `a·d` against `c·b` (denominators
+    /// are positive). The `i128` cross products answer almost every
+    /// comparison; when one overflows, the magnitudes are compared as
+    /// exact 256-bit products, so ordering never fails.
     fn cmp(&self, other: &Rat) -> Ordering {
-        let lhs = self
-            .num
-            .checked_mul(other.den)
-            .expect("rational comparison overflow");
-        let rhs = other
-            .num
-            .checked_mul(self.den)
-            .expect("rational comparison overflow");
-        lhs.cmp(&rhs)
+        if let (Some(lhs), Some(rhs)) = (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            return lhs.cmp(&rhs);
+        }
+        let sign = self.num.signum().cmp(&other.num.signum());
+        if sign != Ordering::Equal || self.num == 0 {
+            return sign;
+        }
+        let lhs = mul_wide(self.num.unsigned_abs(), other.den.unsigned_abs());
+        let rhs = mul_wide(other.num.unsigned_abs(), self.den.unsigned_abs());
+        if self.num > 0 {
+            lhs.cmp(&rhs)
+        } else {
+            rhs.cmp(&lhs)
+        }
     }
 }
 
@@ -658,6 +687,28 @@ mod tests {
         assert!(rat!(2 / 4) == rat!(1 / 2));
         assert_eq!(rat!(1 / 2).max(rat!(2 / 3)), rat!(2 / 3));
         assert_eq!(rat!(1 / 2).min(rat!(2 / 3)), rat!(1 / 2));
+    }
+
+    #[test]
+    fn ordering_near_i128_max_never_overflows() {
+        let big = i128::MAX; // 2¹²⁷ − 1
+        let alpha = Rat::new(big / 2, big); // (2¹²⁶ − 1) / (2¹²⁷ − 1) < 1/2
+        assert!(alpha < rat!(1 / 2));
+        assert!(alpha > rat!(1 / 3));
+        assert!(rat!(1 / 6) < alpha);
+        assert!(Rat::new(big / 2 + 1, big) > rat!(1 / 2));
+        assert_eq!(alpha.cmp(&alpha), Ordering::Equal);
+        // Both cross products overflow and differ only in the low bits.
+        let a = Rat::new(big - 1, big);
+        let b = Rat::new(big - 2, big - 1);
+        assert_eq!((a.cmp(&b), b.cmp(&a)), (Ordering::Greater, Ordering::Less));
+        assert_eq!((-a).cmp(&-b), Ordering::Less);
+        assert!(Rat::new(i128::MIN + 1, big - 1) < Rat::new(-1, 1));
+        assert!(Rat::new(i128::MIN, 1) < Rat::new(i128::MIN + 1, 1));
+        assert!(Rat::ZERO > -a && Rat::ZERO < a);
+        // The wide product itself, against a hand-checked case.
+        assert_eq!(mul_wide(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
+        assert_eq!(mul_wide(1 << 64, 1 << 64), (1, 0));
     }
 
     #[test]

@@ -23,6 +23,14 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The repository benchmark (kpabench/, its own workspace) builds
+# against the crates' public surface — ModelArtifact, EvalCtx, and the
+# reference Model::new/sat/holds_everywhere/prob_interval its output
+# check uses — so build and self-test it here: a change that breaks
+# that surface fails CI, not the benchmark run.
+echo "==> cargo test --release --offline --manifest-path kpabench/Cargo.toml"
+cargo test --release --offline --manifest-path kpabench/Cargo.toml
+
 # The serial/parallel differential suites at a pinned serial width and
 # a pinned parallel width: KPA_THREADS=1 is the reference semantics, and
 # KPA_THREADS=4 must reproduce it bit-for-bit regardless of core count.

@@ -1,13 +1,16 @@
-//! Differential suite for the PR 8 formula compiler (DESIGN §3.2h).
+//! Differential suite for the formula compiler (DESIGN §3.2h).
 //!
 //! `EvalCtx::sat` evaluates through a hash-consed query DAG: formulas
-//! are interned into a per-model [`FormulaArena`], every distinct
+//! are interned into the artifact's `FormulaArena`, every distinct
 //! subterm gets a stable `TermId`, and satisfaction sets memoize per
-//! subterm. The tree walker (`Model::sat`) stays the reference
-//! semantics. These tests hold the compiler to three contracts:
+//! subterm and per `(space, set)` inner measure. The tree walker
+//! (`Model::sat`, no logic memo) is the reference semantics, so each
+//! comparison below proves compilation, the subterm memo, and the `Pr`
+//! memo invisible at once. These tests hold the compiler to three
+//! contracts:
 //!
-//! - **Bit-identity** — `sat_compiled` agrees with `sat` on every
-//!   formula, system, memo configuration, and pool width the sweep
+//! - **Bit-identity** — a fresh artifact's `EvalCtx::sat` agrees with
+//!   `Model::sat` on every formula, system, and pool width the sweep
 //!   covers, including the *errors* (same discovery order).
 //! - **Structural hash-consing** — equal ASTs compile to equal root
 //!   `TermId`s, shared subtrees intern once, and anything the tree
@@ -22,10 +25,16 @@ mod common;
 
 use common::{arb_async_spec, arb_sync_spec, build, cases, cases_sharded, prop_names};
 use kpa::assign::{Assignment, ProbAssignment};
-use kpa::logic::{Formula, Model};
+use kpa::logic::{Formula, Model, ModelArtifact};
 use kpa::measure::{rat, Rat, Rng64};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
+use std::sync::Arc;
+
+/// A fresh artifact (fresh memos and arena) over a copy of `sys`.
+fn artifact(sys: &System, assignment: Assignment) -> ModelArtifact {
+    ModelArtifact::new(Arc::new(sys.clone()), assignment)
+}
 
 /// A formula family exercising every compiled arm — propositional
 /// connectives, knowledge, probability, temporal operators, and the
@@ -51,36 +60,36 @@ fn family(phi: Formula, psi: Formula, i: AgentId, group: &[AgentId]) -> Vec<Form
     ]
 }
 
-/// Checks every formula in `formulas` three ways on `sys`: the tree
-/// walker is ground truth, and the compiled evaluator must match it
-/// bit-for-bit with the subterm memo on and off.
+/// Checks every formula in `formulas` on `sys`: the tree walker is
+/// ground truth, and a fresh artifact's compiled, memoized evaluator
+/// must match it bit-for-bit — also when a second context re-asks,
+/// which must be answered with the very same shared sets.
 fn assert_compiled_matches(sys: &System, assignment: Assignment, formulas: &[Formula]) {
-    let pa = ProbAssignment::new(sys, assignment);
-    let walker = Model::with_knows_memo(&pa, false);
-    let memo_on = Model::new(&pa);
-    let memo_off = Model::with_knows_memo(&pa, false);
+    let pa = ProbAssignment::new(sys, assignment.clone());
+    let walker = Model::new(&pa);
+    let artifact = artifact(sys, assignment);
+    let ctx = artifact.ctx();
     for f in formulas {
         let reference = walker.sat(f).expect("tree walker checks");
-        let compiled = memo_on.sat_compiled(f).expect("compiled evaluator checks");
+        let compiled = ctx.sat(f).expect("compiled evaluator checks");
         assert_eq!(
             *reference, *compiled,
-            "compiled DAG (memo on) diverged from the tree walker on {f}"
-        );
-        let compiled_plain = memo_off.sat_compiled(f).expect("compiled evaluator checks");
-        assert_eq!(
-            *reference, *compiled_plain,
-            "compiled DAG (memo off) diverged from the tree walker on {f}"
+            "compiled DAG diverged from the tree walker on {f}"
         );
     }
-    // The memoized model interned the whole family and cached subterm
-    // sets under their TermIds.
-    assert!(memo_on.terms_interned() > 0, "arena stayed empty");
-    assert!(memo_on.subterm_memo_len() > 0, "subterm memo stayed empty");
-    assert_eq!(
-        memo_off.subterm_memo_len(),
-        0,
-        "a memo-disabled model must not fill the subterm memo"
-    );
+    let other = artifact.ctx();
+    for f in formulas {
+        let first = ctx.sat(f).expect("checks");
+        let again = other.sat(f).expect("checks");
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "contexts of one artifact must share the cached set of {f}"
+        );
+    }
+    // The artifact interned the whole family and cached subterm sets
+    // under their TermIds.
+    assert!(artifact.terms_interned() > 0, "arena stayed empty");
+    assert!(artifact.subterm_memo_len() > 0, "subterm memo stayed empty");
 }
 
 /// Bit-identity on the paper's three walkthrough systems, every
@@ -153,6 +162,8 @@ fn error_discovery_matches_the_tree_walker() {
     let sys = secret_coin().expect("builds");
     let pa = ProbAssignment::new(&sys, Assignment::post());
     let model = Model::new(&pa);
+    let artifact = artifact(&sys, Assignment::post());
+    let ctx = artifact.ctx();
     let empty: [AgentId; 0] = [];
     let bad = [
         // Empty group around a body that would itself error: the group
@@ -165,7 +176,7 @@ fn error_discovery_matches_the_tree_walker() {
     ];
     for f in &bad {
         let walked = model.sat(f).expect_err("tree walker rejects");
-        let compiled = model.sat_compiled(f).expect_err("compiled path rejects");
+        let compiled = ctx.sat(f).expect_err("compiled path rejects");
         assert_eq!(
             walked, compiled,
             "compiled evaluator discovered a different error on {f}"
@@ -181,26 +192,28 @@ fn hash_consing_is_structural_and_threshold_sensitive() {
     let sys = secret_coin().expect("builds");
     let pa = ProbAssignment::new(&sys, Assignment::post());
     let model = Model::new(&pa);
+    let artifact = artifact(&sys, Assignment::post());
+    let ctx = artifact.ctx();
     let p1 = AgentId(0);
     let p2 = AgentId(1);
     let phi = Formula::prop("c=h");
     let psi = Formula::prop("c=t");
 
     // Same AST, twice: same root, no new terms the second time.
-    let a = model.compile(&phi.clone().known_by(p1));
-    let interned_after_first = model.terms_interned();
-    let b = model.compile(&phi.clone().known_by(p1));
+    let a = ctx.compile(&phi.clone().known_by(p1));
+    let interned_after_first = artifact.terms_interned();
+    let b = ctx.compile(&phi.clone().known_by(p1));
     assert_eq!(a.root(), b.root(), "recompiling must be idempotent");
     assert_eq!(
-        model.terms_interned(),
+        artifact.terms_interned(),
         interned_after_first,
         "recompiling an interned formula must not grow the arena"
     );
 
     // Shared subtrees intern once: both formulas' programs contain the
     // same TermId for the shared body.
-    let k1 = model.compile(&phi.clone().known_by(p1));
-    let k2 = model.compile(&phi.clone().known_by(p2));
+    let k1 = ctx.compile(&phi.clone().known_by(p1));
+    let k2 = ctx.compile(&phi.clone().known_by(p2));
     let shared: Vec<_> = k1
         .subterm_ids()
         .into_iter()
@@ -233,8 +246,8 @@ fn hash_consing_is_structural_and_threshold_sensitive() {
     ];
     for (left, right, what) in table {
         assert_ne!(
-            model.compile(&left).root(),
-            model.compile(&right).root(),
+            ctx.compile(&left).root(),
+            ctx.compile(&right).root(),
             "{what} must stay significant under hash-consing"
         );
     }
@@ -248,7 +261,7 @@ fn hash_consing_is_structural_and_threshold_sensitive() {
     ] {
         assert_eq!(
             *model.sat(&f).expect("checks"),
-            *model.sat_compiled(&f).expect("checks"),
+            *ctx.sat(&f).expect("checks"),
         );
     }
 }
@@ -263,17 +276,14 @@ fn shared_subterms_hit_the_unified_memo() {
 
     let sys = async_coin_tosses(3).expect("builds");
     let p2 = AgentId(1);
-    let pa = ProbAssignment::new(&sys, Assignment::post());
-    let model = Model::new(&pa);
+    let artifact = artifact(&sys, Assignment::post());
+    let ctx = artifact.ctx();
     let phi = Formula::prop("recent=h");
 
     let before = registry.snapshot();
-    model
-        .sat_compiled(&phi.clone().known_by(p2))
-        .expect("checks");
+    ctx.sat(&phi.clone().known_by(p2)).expect("checks");
     // Second formula reuses both φ and K_p2 φ as interned subterms.
-    model
-        .sat_compiled(&phi.clone().known_by(p2).common([p2, AgentId(0)]))
+    ctx.sat(&phi.clone().known_by(p2).common([p2, AgentId(0)]))
         .expect("checks");
     let delta = registry.snapshot().delta_counters(&before);
 
@@ -295,20 +305,19 @@ fn shared_subterms_hit_the_unified_memo() {
     );
 }
 
-/// `pr_ge_family` against k serial sweeps, on a walkthrough system and
-/// on random systems: bit-identical sets in `alphas` order, plus the
-/// monotonicity the thresholds imply.
+/// `EvalCtx::pr_ge_family` against k serial `Model::sat` sweeps, on a
+/// walkthrough system and on random systems: bit-identical sets in
+/// `alphas` order, plus the monotonicity the thresholds imply.
 #[test]
 fn pr_ge_family_matches_serial_sweeps() {
     let alphas = [rat!(1 / 4), rat!(1 / 2), rat!(3 / 4), Rat::ONE];
 
     let check = |sys: &System, assignment: Assignment, body: &Formula, i: AgentId| {
-        let pa = ProbAssignment::new(sys, assignment);
-        let serial_model = Model::with_knows_memo(&pa, false);
-        let family_model = Model::new(&pa);
-        let batched = family_model
-            .pr_ge_family(i, &alphas, body)
-            .expect("family checks");
+        let pa = ProbAssignment::new(sys, assignment.clone());
+        let serial_model = Model::new(&pa);
+        let artifact = artifact(sys, assignment);
+        let ctx = artifact.ctx();
+        let batched = ctx.pr_ge_family(i, &alphas, body).expect("family checks");
         assert_eq!(batched.len(), alphas.len());
         for (k, (&alpha, got)) in alphas.iter().zip(&batched).enumerate() {
             let serial = serial_model
@@ -326,12 +335,10 @@ fn pr_ge_family_matches_serial_sweeps() {
             }
         }
         // The family landed in the same caches serial queries use: a
-        // follow-up serial query on the same model is answered from the
-        // formula cache without touching the walker.
-        let cached = family_model
-            .sat_compiled(&body.clone().pr_ge(i, alphas[0]))
-            .expect("checks");
-        assert_eq!(*batched[0], *cached);
+        // follow-up query on the same artifact is answered from the
+        // formula cache with the very set the family returned.
+        let cached = ctx.sat(&body.clone().pr_ge(i, alphas[0])).expect("checks");
+        assert!(Arc::ptr_eq(&batched[0], &cached));
     };
 
     let tosses = async_coin_tosses(4).expect("builds");

@@ -14,12 +14,13 @@ mod common;
 
 use common::{arb_async_spec, arb_sync_spec, build, cases, cases_sharded, prop_names};
 use kpa::assign::{Assignment, DensePointSpace, ProbAssignment};
-use kpa::logic::{Formula, Model};
+use kpa::logic::{Formula, Model, ModelArtifact};
 use kpa::measure::{rat, MeasureError, Rat, Rng64};
 use kpa::pool::with_threads;
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, PointId, PointSet, System};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One space/set comparison: the dense dispatching queries against the
 /// generic scans, with the set routed through `BTreeSet` on the generic
@@ -296,9 +297,10 @@ fn kernel_agreement_is_thread_invariant() {
 }
 
 /// The per-class `Pr` memo is observationally invisible: `Pr_i ≥ α`
-/// satisfaction sets are identical with the memo on and off, across
-/// formulas sharing spaces and thresholds, at 1 and 4 threads — and the
-/// memoized model actually caches inner measures.
+/// satisfaction sets from a memoized artifact equal the memo-free
+/// reference tree walker's, across formulas sharing spaces and
+/// thresholds, at 1 and 4 threads — and the artifact actually caches
+/// inner measures.
 #[test]
 fn pr_memo_is_observationally_invisible() {
     cases("pr_memo_invisibility", |rng| {
@@ -319,28 +321,26 @@ fn pr_memo_is_observationally_invisible() {
             phi.clone().pr_ge(i, rat!(1 / 2)).known_by(i),
         ];
         let post = ProbAssignment::new(&sys, Assignment::post());
-        let memoized = Model::new(&post);
-        // Plan off too, so the comparison covers the fully unassisted
-        // per-point path (the plan has its own differential suite).
-        let plain = Model::with_memos(&post, true, false, false);
-        assert!(memoized.pr_memo_enabled());
-        assert!(!plain.pr_memo_enabled());
+        let sys = Arc::new(sys.clone());
         for threads in [1, 4] {
             with_threads(threads, || {
+                // Fresh memos per width, so no cache crosses widths.
+                let reference = Model::new(&post);
+                let artifact = ModelArtifact::new(Arc::clone(&sys), Assignment::post());
+                let ctx = artifact.ctx();
                 for f in &queries {
-                    let with_memo = memoized.sat(f).expect("model checks");
-                    let without = plain.sat(f).expect("model checks");
+                    let with_memo = ctx.sat(f).expect("artifact checks");
+                    let without = reference.sat(f).expect("model checks");
                     assert_eq!(
                         *with_memo, *without,
                         "Pr memo changed the satisfaction set of {f} at {threads} threads"
                     );
                 }
+                assert!(
+                    artifact.pr_memo_len() > 0,
+                    "threshold family never filled the Pr memo"
+                );
             });
         }
-        assert!(
-            memoized.pr_memo_len() > 0,
-            "threshold family never hit the Pr memo"
-        );
-        assert_eq!(plain.pr_memo_len(), 0);
     });
 }

@@ -1,47 +1,52 @@
-//! Cache-consistency suite for the cross-formula `knows_set` memo.
+//! Cache-consistency suite for the artifact's evaluation memos.
 //!
-//! The memo (`Model::with_knows_memo`) reuses knowledge fixpoints
-//! across formulas that share `(agent, body)` subterms — e.g. the
-//! `K_i φ` stages inside a `C_G φ` fixpoint. These tests pin that the
-//! memo is *observationally invisible*: satisfaction sets (and their
-//! pinned sizes on the paper's walkthrough systems) are identical with
-//! the memo on and off, under any interleaving of queries.
+//! `ModelArtifact` reuses work across formulas through its unified
+//! per-subterm memo (e.g. the `K_i φ` stages inside a `C_G φ`
+//! fixpoint) and its per-class `Pr` memo. These tests pin that the
+//! memos are *observationally invisible*: satisfaction sets (and their
+//! pinned sizes on the paper's walkthrough systems) are identical to
+//! the memo-free reference tree walker (`Model`), under any
+//! interleaving of queries.
 
 mod common;
 
 use common::{arb_sync_spec, build, cases, prop_names};
 use kpa::assign::{Assignment, ProbAssignment};
-use kpa::logic::{Formula, Model};
+use kpa::logic::{Formula, Model, ModelArtifact};
 use kpa::measure::{rat, Rat};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
+use std::sync::Arc;
 
 /// Every formula in the family, sat-checked on `sys` twice — once on a
-/// memoized model, once on a memo-free model — returning the sizes from
-/// the memoized pass after asserting the full sets agree.
+/// fresh artifact, once on the reference `Model` — returning the sizes
+/// after asserting the full sets agree.
 fn sizes_memo_vs_fresh(sys: &System, formulas: &[Formula]) -> Vec<usize> {
     let post = ProbAssignment::new(sys, Assignment::post());
-    let memoized = Model::new(&post); // memo on by default
-    let plain = Model::with_knows_memo(&post, false);
-    assert!(memoized.knows_memo_enabled());
-    assert!(!plain.knows_memo_enabled());
+    let reference = Model::new(&post);
+    let artifact = ModelArtifact::new(Arc::new(sys.clone()), Assignment::post());
+    let ctx = artifact.ctx();
     let mut sizes = Vec::with_capacity(formulas.len());
     for f in formulas {
-        let with_memo = memoized.sat(f).expect("model checks");
-        let without = plain.sat(f).expect("model checks");
+        let with_memo = ctx.sat(f).expect("artifact checks");
+        let without = reference.sat(f).expect("model checks");
         assert_eq!(
             *with_memo, *without,
             "memo changed the satisfaction set of {f}"
         );
         sizes.push(with_memo.len());
     }
+    assert!(
+        artifact.subterm_memo_len() > 0,
+        "the family never filled the unified subterm memo"
+    );
     sizes
 }
 
 /// Pinned satisfaction-set sizes on the three paper walkthrough
 /// systems. The formula families deliberately repeat `(agent, body)`
 /// pairs — `K_i φ` alone and again inside `C_G φ` — so the memoized
-/// pass actually hits the cache (asserted via `subterm_memo_len`).
+/// pass actually hits the cache.
 #[test]
 fn walkthrough_sizes_are_memo_invariant() {
     let p1 = AgentId(0);
@@ -90,22 +95,10 @@ fn walkthrough_sizes_are_memo_invariant() {
         [10, 0, 28],
         "coordinated attack sizes drifted"
     );
-
-    // The memoized models must actually have cached fixpoints — the
-    // families above repeat `(agent, body)` pairs by construction.
-    let post = ProbAssignment::new(&coin, Assignment::post());
-    let model = Model::new(&post);
-    for f in &coin_formulas {
-        model.sat(f).expect("model checks");
-    }
-    assert!(
-        model.subterm_memo_len() > 0,
-        "walkthrough family never filled the unified subterm memo"
-    );
 }
 
 /// Property: interleaving formulas that share knowledge subterms on one
-/// memoized model gives exactly the answers of fresh memo-free models.
+/// artifact gives exactly the answers of fresh reference models.
 /// The interleave order is adversarial for a buggy memo: `C_G φ` first
 /// (seeding the memo from mid-fixpoint sweeps), then the bare `K_i φ`
 /// it contains, then the reverse pairing.
@@ -126,22 +119,22 @@ fn interleaved_shared_subterms_match_fresh() {
             phi.clone().not().known_by(i).not(),
         ];
         let post = ProbAssignment::new(&sys, Assignment::post());
-        let memoized = Model::new(&post);
+        let artifact = ModelArtifact::new(Arc::new(sys.clone()), Assignment::post());
+        let memoized = artifact.ctx();
         for f in &queries {
-            let shared = memoized.sat(f).expect("model checks");
-            let fresh_model = Model::with_knows_memo(&post, false);
-            let fresh = fresh_model.sat(f).expect("model checks");
+            let shared = memoized.sat(f).expect("artifact checks");
+            let fresh = Model::new(&post).sat(f).expect("model checks");
             assert_eq!(
                 *shared, *fresh,
-                "memoized model disagrees with a fresh one on {f}"
+                "memoized artifact disagrees with a fresh reference on {f}"
             );
         }
-        // And the memo entry for (i, sat φ) matches a fresh fixpoint.
-        let sat_phi = memoized.sat(&phi).expect("model checks");
+        // And the memo entry for (i, sat φ) matches a fresh class scan.
+        let sat_phi = memoized.sat(&phi).expect("artifact checks");
         assert_eq!(
             memoized.knows_set(i, &sat_phi),
-            memoized.knows_set_fresh(i, &sat_phi),
-            "memoized knows_set diverged from knows_set_fresh"
+            Model::new(&post).knows_set(i, &sat_phi),
+            "memoized knows_set diverged from the reference scan"
         );
     });
 }
@@ -155,7 +148,8 @@ fn interleaved_shared_subterms_match_fresh() {
 /// assertions below are written as *delta > 0* across this test's own
 /// operations — monotone-safe even when other tests in this binary run
 /// concurrently and bump the same counters. Exact equalities stay on
-/// the per-model state (`pr_memo_len`), which is private to this model.
+/// the artifact's own state (`pr_memo_len`), which is private to this
+/// test.
 #[test]
 fn interleaved_pr_ge_thresholds_hit_the_plan_and_pr_memo() {
     // Tracing must be on for the registry to record anything; it is
@@ -165,27 +159,26 @@ fn interleaved_pr_ge_thresholds_hit_the_plan_and_pr_memo() {
 
     let sys = async_coin_tosses(3).expect("builds");
     let p1 = AgentId(0);
-    let post = ProbAssignment::new(&sys, Assignment::post());
-    let model = Model::new(&post);
-    assert!(model.plan_enabled() && model.pr_memo_enabled());
+    let artifact = ModelArtifact::new(Arc::new(sys.clone()), Assignment::post());
+    let ctx = artifact.ctx();
 
     let phi = Formula::prop("recent=h");
     let weak = phi.clone().pr_ge(p1, rat!(1 / 4));
     let strong = phi.clone().pr_ge(p1, rat!(3 / 4));
 
     let before_first = registry.snapshot();
-    let sat_weak = model.sat(&weak).expect("model checks").clone();
+    let sat_weak = ctx.sat(&weak).expect("artifact checks").clone();
     let after_first = registry.snapshot();
-    let len_after_first = model.pr_memo_len();
+    let len_after_first = artifact.pr_memo_len();
     assert!(len_after_first > 0, "first sweep must seed the Pr memo");
 
     // Same body, same classes, different threshold: the memo already
     // holds every (space, sat-set) inner measure the second sweep
     // needs, so it may not insert — only hit.
-    let sat_strong = model.sat(&strong).expect("model checks").clone();
+    let sat_strong = ctx.sat(&strong).expect("artifact checks").clone();
     let after_second = registry.snapshot();
     assert_eq!(
-        model.pr_memo_len(),
+        artifact.pr_memo_len(),
         len_after_first,
         "a shared-class threshold family must not grow the Pr memo"
     );
@@ -202,11 +195,12 @@ fn interleaved_pr_ge_thresholds_hit_the_plan_and_pr_memo() {
         both_sweeps.get("logic.plan_hit").copied().unwrap_or(0) > 0,
         "sweeps must take the plan table path"
     );
-    assert!(
-        model.plan_len() > 0,
-        "the model must report the shared core's built plans"
+    assert_eq!(
+        artifact.plans_built(),
+        sys.agent_count(),
+        "the artifact builds every agent's plan up front"
     );
-    let plan = post.sample_plan(p1);
+    let plan = artifact.core().sample_plan(&sys, p1);
     assert!(plan.is_batched());
     assert_eq!(plan.extractions(), plan.classes());
     assert!(plan.extractions() < sys.point_count());

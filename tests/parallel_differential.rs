@@ -21,12 +21,12 @@ use common::{arb_async_spec, arb_sync_spec, build, case_seed, cases, cases_shard
 use kpa::assign::{Assignment, ProbAssignment};
 use kpa::asynchrony::{prop10_holds, region_for, CutClass};
 use kpa::betting::{BetRule, BettingGame};
-use kpa::logic::{Formula, Model, PointSet};
+use kpa::logic::{Formula, Model, ModelArtifact, PointSet};
 use kpa::measure::{Rat, Rng64};
 use kpa::pool::{with_threads, Pool};
 use kpa::system::{AgentId, System};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The thread counts every differential test sweeps: serial, the
 /// smallest genuinely parallel pool, and everything the host offers.
@@ -69,8 +69,8 @@ fn formula_family(sys: &System, props: &[String]) -> Vec<Formula> {
     ]
 }
 
-/// `Model::sat` is thread-invariant on random sync and async systems,
-/// with the `knows_set` memo both on and off.
+/// `Model::sat` and the memoized artifact's `EvalCtx::sat` are
+/// thread-invariant on random sync and async systems.
 #[test]
 fn sat_thread_invariance() {
     cases("sat_thread_invariance", |rng| {
@@ -82,15 +82,17 @@ fn sat_thread_invariance() {
         let sys = build(&spec);
         let props = prop_names(&spec);
         for f in formula_family(&sys, &props) {
-            for memo in [true, false] {
-                assert_thread_invariant(&format!("sat({f}) memo={memo}"), || {
-                    // Fresh assignment + model per evaluation: no cache
-                    // state crosses thread counts.
-                    let post = ProbAssignment::new(&sys, Assignment::post());
-                    let model = Model::with_knows_memo(&post, memo);
-                    (*model.sat(&f).expect("model checks")).clone()
-                });
-            }
+            assert_thread_invariant(&format!("sat({f}) reference"), || {
+                // Fresh assignment + model per evaluation: no cache
+                // state crosses thread counts.
+                let post = ProbAssignment::new(&sys, Assignment::post());
+                (*Model::new(&post).sat(&f).expect("model checks")).clone()
+            });
+            assert_thread_invariant(&format!("sat({f}) artifact"), || {
+                let artifact = ModelArtifact::new(Arc::new(sys.clone()), Assignment::post());
+                let set = artifact.ctx().sat(&f).expect("artifact checks");
+                (*set).clone()
+            });
         }
     });
 }

@@ -260,6 +260,39 @@ fn fuzzed_frames_never_wedge_the_server() {
     server.shutdown();
 }
 
+/// A threshold the parser accepts (α ∈ [0, 1]) but whose cross products
+/// with the system's measures overflow `i128` must still be answered
+/// with a frame: comparison widens instead of panicking the
+/// connection's thread. The first formula is the reproducer that used
+/// to end in EOF.
+#[test]
+fn adversarial_rationals_get_reply_frames() {
+    let mut server = Server::bind(tight_config()).expect("bind");
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    c.load_named("die", "post").expect("load");
+    let formulas = [
+        "Pr{p3}(die=1) >= 85070591730234615865843651857942052863/170141183460469231731687303715884105727",
+        "Pr{p3}(die=1) >= 170141183460469231731687303715884105726/170141183460469231731687303715884105727",
+        "Pr{p3}(die=1) >= 1/170141183460469231731687303715884105727",
+        "K{p3}(Pr{p1}(die=1) >= 28356863910078205288614550619314017621/170141183460469231731687303715884105727)",
+    ];
+    for (id, formula) in formulas.iter().enumerate() {
+        let rows = c
+            .query(&[QueryItem {
+                id: id as i64,
+                kind: QueryKind::Sat {
+                    formula: (*formula).into(),
+                },
+            }])
+            .unwrap_or_else(|e| panic!("no reply frame for {formula}: {e}"));
+        assert_eq!(rows.len(), 1, "one result row for {formula}");
+    }
+    // The connection and the server are both still healthy.
+    c.hello().expect("healthy after extreme thresholds");
+    server.shutdown();
+}
+
 /// Every reply — success and error alike — carries a server-minted
 /// `trace_id` (16 lowercase hex digits), distinct per frame, so a
 /// client can correlate any reply with the server's span trees.
