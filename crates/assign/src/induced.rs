@@ -572,7 +572,7 @@ fn shard_index(agent: AgentId, first: PointId, len: usize) -> usize {
 }
 
 /// Bumps the hit or miss counter of one space-cache shard (plus the
-/// cross-shard aggregate). The per-shard `&'static Counter` pairs are
+/// cross-shard aggregate). The per-shard `Arc<Counter>` pairs are
 /// resolved once — the registry's name map is consulted only on the
 /// first traced lookup of the process — and the whole function is a
 /// single relaxed load while tracing is off. Shard names are the one
@@ -583,7 +583,7 @@ fn trace_space_cache(shard: usize, hit: bool) {
     if !kpa_trace::enabled() {
         return;
     }
-    type ShardCounters = Vec<(&'static kpa_trace::Counter, &'static kpa_trace::Counter)>;
+    type ShardCounters = Vec<(Arc<kpa_trace::Counter>, Arc<kpa_trace::Counter>)>;
     static SLOTS: std::sync::OnceLock<ShardCounters> = std::sync::OnceLock::new();
     let slots = SLOTS.get_or_init(|| {
         let reg = kpa_trace::registry();
@@ -596,7 +596,7 @@ fn trace_space_cache(shard: usize, hit: bool) {
             })
             .collect()
     });
-    let (hits, misses) = slots[shard];
+    let (hits, misses) = &slots[shard];
     if hit {
         hits.incr();
         kpa_trace::count!("assign.space_cache_hit");

@@ -27,7 +27,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// Default shard count: matches the space cache's fan-out, chosen so
 /// simultaneous collisions are rare at `kpa-pool`'s thread counts.
@@ -38,9 +38,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// per lookup — the `trace_space_cache` pattern).
 struct Slots {
     /// `(hit, miss)` counter pair per shard.
-    per_shard: Vec<(&'static kpa_trace::Counter, &'static kpa_trace::Counter)>,
+    per_shard: Vec<(Arc<kpa_trace::Counter>, Arc<kpa_trace::Counter>)>,
     /// Lock acquisitions that found the shard lock held.
-    contention: &'static kpa_trace::Counter,
+    contention: Arc<kpa_trace::Counter>,
 }
 
 /// A concurrent map split across independently locked shards.
@@ -155,7 +155,7 @@ impl<K: Hash + Eq, V: Clone> ShardMap<K, V> {
         let idx = self.shard_of(key);
         let found = self.lock_shard(idx).get(key).cloned();
         if let Some(slots) = self.trace_slots() {
-            let (hits, misses) = slots.per_shard[idx];
+            let (hits, misses) = &slots.per_shard[idx];
             if found.is_some() {
                 hits.incr();
             } else {

@@ -497,7 +497,7 @@ fn main() {
     // that the "dense" rows actually took the dense path rather than
     // silently falling back to the generic scan.
     // ------------------------------------------------------------------
-    kpa_trace::Trace::enabled(true);
+    kpa_trace::set_enabled(true);
     kpa_trace::registry().reset();
     let mut row_deltas: std::collections::BTreeMap<
         String,
@@ -638,7 +638,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("failed to write {tpath}: {e}"));
         println!("wrote {tpath}");
     }
-    kpa_trace::Trace::enabled(false);
+    kpa_trace::set_enabled(false);
 
     // ------------------------------------------------------------------
     // Machine-readable rows (BENCH_5.json) when KPA_BENCH_JSON is set —

@@ -257,7 +257,7 @@ fn main() {
     // cold misses and the warm hits, then report per-map totals. Runs
     // strictly after every timed section.
     // ------------------------------------------------------------------
-    kpa_trace::Trace::enabled(true);
+    kpa_trace::set_enabled(true);
     kpa_trace::registry().reset();
     let before = kpa_trace::registry().snapshot();
     let traced_artifact = Arc::new(ModelArtifact::new(
@@ -295,7 +295,7 @@ fn main() {
         sat_cache_hits > 0,
         "the warm clients must answer from the sharded formula cache"
     );
-    kpa_trace::Trace::enabled(false);
+    kpa_trace::set_enabled(false);
 
     // ------------------------------------------------------------------
     // Machine-readable rows (BENCH_6.json) when KPA_BENCH_JSON is set —

@@ -383,8 +383,7 @@ impl Session {
     fn metrics(&self, id: Option<i64>, text: bool) -> Value {
         let session = self.scope.snapshot();
         let process = self.shared.proc.snapshot();
-        let (records, dropped) = kpa_trace::snapshot_span_records();
-        let sites = kpa_trace::span_site_stats(&records);
+        let (sites, dropped) = kpa_trace::registry().span_sites();
         let resident = self.shared.artifact_count() as u64;
         let resident_bytes = self.shared.artifacts_resident_bytes();
         if text {

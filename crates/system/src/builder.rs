@@ -510,6 +510,25 @@ mod tests {
         assert_eq!(sys.indistinguishable(p1, h).len(), 2);
     }
 
+    /// A run probability past the `i128` rational range is a typed
+    /// build error, not a multiplication-overflow panic.
+    #[test]
+    fn overflowing_run_probability_is_an_error() {
+        let tiny = Rat::new(1, i128::MAX);
+        let err = ProtocolBuilder::new(["p1", "p2"])
+            .coin("c0", &[("h", tiny), ("t", Rat::ONE - tiny)], &["p1"])
+            .coin("c1", &[("h", rat!(1 / 3)), ("t", rat!(2 / 3))], &["p2"])
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SystemError::ProbabilityOverflow {
+                tree: "main".into()
+            }
+        );
+        assert!(err.to_string().contains("overflow"));
+    }
+
     #[test]
     fn adversaries_create_trees() {
         let sys = ProtocolBuilder::new(["p1", "p2"])

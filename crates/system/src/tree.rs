@@ -7,6 +7,7 @@
 //! every internal node sum to one. The probability of a run is the
 //! product of its edge labels.
 
+use crate::error::SystemError;
 use crate::ids::{NodeId, PropId, Sym};
 use kpa_measure::Rat;
 use std::collections::BTreeSet;
@@ -160,8 +161,13 @@ impl Tree {
 
     /// Enumerates runs and computes per-node run membership. Assumes
     /// the structure has already been validated (uniform leaf depth,
-    /// edge probabilities summing to one).
-    pub(crate) fn seal(&mut self) {
+    /// edge probabilities summing to one). Fails with
+    /// [`SystemError::ProbabilityOverflow`] when a run's probability
+    /// leaves the exact `i128` rational range.
+    pub(crate) fn seal(&mut self) -> Result<(), SystemError> {
+        let overflow = || SystemError::ProbabilityOverflow {
+            tree: self.name.clone(),
+        };
         let mut runs = Vec::new();
         let mut stack: Vec<(NodeId, Vec<NodeId>, Rat)> =
             vec![(NodeId(0), vec![NodeId(0)], Rat::ONE)];
@@ -174,7 +180,8 @@ impl Tree {
                 for &(child, p) in node.children.iter().rev() {
                     let mut next = path.clone();
                     next.push(child);
-                    stack.push((child, next, prob * p));
+                    let prob = prob.checked_mul(p).ok_or_else(overflow)?;
+                    stack.push((child, next, prob));
                 }
             }
         }
@@ -187,6 +194,7 @@ impl Tree {
         self.runs = runs;
         self.node_runs = node_runs;
         self.horizon = self.runs.first().map_or(0, |r| r.nodes.len() - 1);
+        Ok(())
     }
 }
 

@@ -1,10 +1,14 @@
 //! # kpa-trace — zero-dependency tracing/metrics for the kpa workspace
 //!
-//! A process-global [`Registry`] of named [`Counter`]s and
-//! log₂-bucketed latency [`Histogram`]s, RAII [`Span`] timers, and a
-//! fixed-capacity ring-buffer event log — all hermetic (std only,
-//! matching the workspace's offline-build policy) and all compiled
-//! down to *true no-ops* unless tracing is switched on.
+//! Five mechanisms, one per question: named [`Counter`]s (how often?),
+//! log₂-bucketed [`Histogram`]s (how long, how big?),
+//! [`RollingHistogram`]s (how long *lately*?), RAII [`Span`] timers
+//! feeding per-request span trees (where did this request spend its
+//! time?), and droppable [`Scope`]s (what did this one session do?).
+//! The process-global [`Registry`] is itself one `Scope` plus the
+//! `span!` sites. Everything is hermetic (std only, matching the
+//! workspace's offline-build policy) and compiles down to *true
+//! no-ops* unless tracing is switched on.
 //!
 //! ## Gating
 //!
@@ -12,8 +16,8 @@
 //!
 //! - the `KPA_TRACE` environment variable is set to `1`, `true`, or
 //!   `on` (checked once, on first use), or
-//! - [`set_enabled`]`(true)` / [`Trace::enabled`]`(true)` is called at
-//!   runtime (which overrides the environment either way).
+//! - [`set_enabled`]`(true)` is called at runtime (which overrides the
+//!   environment either way).
 //!
 //! While disabled, every instrumentation macro costs exactly one
 //! relaxed atomic load and a predictable branch — no clock reads, no
@@ -34,18 +38,17 @@
 //!     let _guard = kpa_trace::span!("demo.step_ns"); // RAII timer
 //!     // ... timed region ...
 //! }
-//! kpa_trace::event!("demo.milestone", 3);       // ring-buffer event
 //! let report = kpa_trace::registry().snapshot();
 //! assert!(report.counter("demo.widgets") >= 5);
 //! # kpa_trace::set_enabled(false);
 //! ```
 //!
-//! The macros cache the `&'static` metric behind a per-call-site
+//! The macros cache the metric's `Arc` handle behind a per-call-site
 //! `OnceLock`, so the registry's name map is consulted once per call
 //! site, not once per event. Because of that cache, macro names must
 //! be *constant per call site*; for dynamically named metrics (e.g.
 //! per-shard counters) call [`Registry::counter`] directly and cache
-//! the references yourself.
+//! the handles yourself.
 //!
 //! ## Naming scheme
 //!
@@ -55,19 +58,12 @@
 //! unit suffix (`_ns` for nanoseconds, `_len`/`_size` for element
 //! counts). DESIGN.md §3.2e is the canonical registry of names.
 //!
-//! ## Event-ring capacity
-//!
-//! The global event ring holds [`RING_CAPACITY`] events by default;
-//! set `KPA_TRACE_EVENTS=<n>` (read once, at first registry use) to
-//! bound — or widen — event memory for long-running processes such as
-//! the `kpa-serve` soak bench.
-//!
 //! ## Scoped metrics
 //!
 //! Global metrics live forever; *per-entity* metrics (one service
 //! session's counters, say) must not. [`Scope`] is a named, droppable
-//! metric group built from the same counter/histogram primitives and
-//! snapshotting into the same [`TraceReport`] — see its docs.
+//! metric group — the same type the global registry is built on — and
+//! snapshots into the same [`TraceReport`]; see its docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,17 +76,16 @@ mod scope;
 mod spans;
 
 pub use metrics::{bucket_floor, bucket_of, Counter, Histogram, BUCKETS};
-pub use registry::{registry, Event, Registry, RING_CAPACITY};
+pub use registry::{registry, Registry};
 pub use report::{
     json_escape, HistogramSnapshot, TraceReport, WindowedSnapshot, TRACE_SCHEMA_VERSION,
 };
 pub use rolling::{RollingHistogram, ROLLING_SLOTS, ROLLING_SLOT_NS_SHIFT};
 pub use scope::Scope;
 pub use spans::{
-    ambient_guard, current_trace_id, next_trace_id, snapshot_span_records, span_ring_capacity,
-    span_site_stats, spans_to_chrome_json, spans_to_folded, stitch_span_trees, take_span_records,
-    AmbientGuard, SpanNode, SpanRecord, SpanSite, SpanSiteStat, SpanTree, TraceId,
-    SPAN_RING_CAPACITY,
+    ambient_guard, current_trace_id, next_trace_id, snapshot_span_records, spans_to_chrome_json,
+    spans_to_folded, stitch_span_trees, take_span_records, AmbientGuard, SpanNode, SpanRecord,
+    SpanSite, SpanSiteStat, SpanTree, TraceId, SPAN_RING_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -134,29 +129,11 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Facade named after the API in the issue tracker: `Trace::enabled(b)`
-/// flips the global switch, `Trace::is_enabled()` reads it.
-#[derive(Debug, Clone, Copy)]
-pub struct Trace;
-
-impl Trace {
-    /// Switch tracing on or off (same as [`set_enabled`]).
-    pub fn enabled(on: bool) {
-        set_enabled(on);
-    }
-
-    /// Is tracing currently on? (same as [`enabled`]).
-    pub fn is_enabled() -> bool {
-        enabled()
-    }
-}
-
-/// RAII timer: measures wall time from construction to drop and
-/// records the elapsed nanoseconds into a histogram. Construct via the
+/// RAII timer: measures wall time from construction to drop, records
+/// the elapsed nanoseconds into its site's histogram and appends a
+/// span-tree record for the request-scoped pipeline. Construct via the
 /// [`span!`] macro (which skips the clock read entirely when tracing
-/// is disabled), [`Span::start`] when you already hold the histogram,
-/// or [`Span::start_site`] to additionally append a span-tree record
-/// for the request-scoped pipeline.
+/// is disabled) or [`Span::start_site`].
 #[derive(Debug)]
 #[must_use = "a span records on drop; binding it to `_` drops immediately"]
 pub struct Span {
@@ -167,25 +144,11 @@ pub struct Span {
 struct SpanInner {
     hist: &'static Histogram,
     start: Instant,
-    /// The span-tree record being built, when opened via a
-    /// [`SpanSite`] (and span recording isn't disabled).
-    active: Option<spans::ActiveSpan>,
+    /// The span-tree record being built.
+    active: spans::ActiveSpan,
 }
 
 impl Span {
-    /// Start timing into `hist` (reads the clock). Histogram-only: no
-    /// span-tree record is produced.
-    #[inline]
-    pub fn start(hist: &'static Histogram) -> Span {
-        Span {
-            inner: Some(SpanInner {
-                hist,
-                start: Instant::now(),
-                active: None,
-            }),
-        }
-    }
-
     /// Start timing at a registered [`SpanSite`]: records the duration
     /// into the site's cumulative histogram *and* appends a
     /// `(site, parent, start_ns, dur_ns, trace_id)` record to the
@@ -215,9 +178,7 @@ impl Drop for Span {
         if let Some(inner) = self.inner.take() {
             let dur_ns = inner.start.elapsed().as_nanos() as u64;
             inner.hist.record(dur_ns);
-            if let Some(active) = inner.active {
-                active.finish(dur_ns);
-            }
+            inner.active.finish(dur_ns);
         }
     }
 }
@@ -232,7 +193,7 @@ macro_rules! count {
     };
     ($name:expr, $n:expr) => {
         if $crate::enabled() {
-            static __KPA_TRACE_SLOT: ::std::sync::OnceLock<&'static $crate::Counter> =
+            static __KPA_TRACE_SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
                 ::std::sync::OnceLock::new();
             __KPA_TRACE_SLOT
                 .get_or_init(|| $crate::registry().counter($name))
@@ -248,7 +209,7 @@ macro_rules! count {
 macro_rules! record {
     ($name:expr, $v:expr) => {
         if $crate::enabled() {
-            static __KPA_TRACE_SLOT: ::std::sync::OnceLock<&'static $crate::Histogram> =
+            static __KPA_TRACE_SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
                 ::std::sync::OnceLock::new();
             __KPA_TRACE_SLOT
                 .get_or_init(|| $crate::registry().histogram($name))
@@ -262,31 +223,18 @@ macro_rules! record {
 /// tracing is disabled this neither reads the clock nor records.
 /// While enabled, the site also appends a span-tree record carrying
 /// the thread's ambient [`TraceId`] (see [`ambient_guard`]) to the
-/// per-thread span ring, unless `KPA_TRACE_SPANS=0` turned span
-/// recording off.
+/// per-thread span ring.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         if $crate::enabled() {
-            static __KPA_TRACE_SLOT: ::std::sync::OnceLock<&'static $crate::SpanSite> =
+            static __KPA_TRACE_SLOT: ::std::sync::OnceLock<::std::sync::Arc<$crate::SpanSite>> =
                 ::std::sync::OnceLock::new();
             $crate::Span::start_site(
                 __KPA_TRACE_SLOT.get_or_init(|| $crate::registry().span_site($name)),
             )
         } else {
             $crate::Span::disabled()
-        }
-    };
-}
-
-/// Append a named event (with a `u64` payload) to the global ring
-/// buffer, and bump the same-named occurrence counter. No-op while
-/// tracing is disabled.
-#[macro_export]
-macro_rules! event {
-    ($name:expr, $v:expr) => {
-        if $crate::enabled() {
-            $crate::registry().event($name, $v as u64);
         }
     };
 }
@@ -303,10 +251,8 @@ mod tests {
     fn lifecycle_disabled_then_enabled() {
         set_enabled(false);
         assert!(!enabled());
-        assert!(!Trace::is_enabled());
         count!("test.lifecycle.c");
         record!("test.lifecycle.h", 123);
-        event!("test.lifecycle.e", 1);
         {
             let _g = span!("test.lifecycle.span_ns");
         }
@@ -319,7 +265,6 @@ mod tests {
         assert!(!off.enabled);
         assert_eq!(off.counter("test.lifecycle.c"), 0);
         assert!(!off.histograms.contains_key("test.lifecycle.h"));
-        assert!(off.events.iter().all(|e| e.name != "test.lifecycle.e"));
         let (off_spans, _) = snapshot_span_records();
         assert!(
             off_spans
@@ -328,12 +273,11 @@ mod tests {
             "disabled span! sites must not reach the span rings"
         );
 
-        Trace::enabled(true);
+        set_enabled(true);
         assert!(enabled());
         count!("test.lifecycle.c");
         count!("test.lifecycle.c", 2);
         record!("test.lifecycle.h", 123);
-        event!("test.lifecycle.e", 7);
         registry().rolling("test.lifecycle.roll_ns").record(900);
         let tid = next_trace_id();
         {
@@ -351,15 +295,6 @@ mod tests {
         assert_eq!(h.min, Some(123));
         let sp = &on.histograms["test.lifecycle.span_ns"];
         assert_eq!(sp.count, 1);
-        assert_eq!(
-            on.counter("test.lifecycle.e"),
-            1,
-            "events count occurrences"
-        );
-        assert!(on
-            .events
-            .iter()
-            .any(|e| e.name == "test.lifecycle.e" && e.value == 7));
         assert_eq!(on.windowed["test.lifecycle.roll_ns"].count, 1);
         assert_eq!(on.windowed["test.lifecycle.roll_ns"].p50, Some(512));
         assert!(on
@@ -387,7 +322,6 @@ mod tests {
         let zeroed = registry().snapshot();
         assert_eq!(zeroed.counter("test.lifecycle.c"), 0);
         assert_eq!(zeroed.histograms["test.lifecycle.h"].count, 0);
-        assert!(zeroed.events.is_empty());
         assert_eq!(zeroed.windowed["test.lifecycle.roll_ns"].count, 0);
         assert!(
             !zeroed

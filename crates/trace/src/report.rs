@@ -5,16 +5,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::{bucket_floor, Histogram, BUCKETS};
-use crate::registry::Event;
 use crate::spans::SpanSiteStat;
 
 /// Schema version stamped into every trace JSON document.
 ///
-/// v2 (PR 10) added the `windowed` section (rolling-window
-/// p50/p99 summaries) and the `spans` section (dropped count +
-/// per-site aggregates from the span-tree rings) between
-/// `histograms` and `rows`; v1 documents are otherwise a strict
-/// subset.
+/// v2 added the `windowed` section (rolling-window p50/p99 summaries)
+/// and the `spans` section (ring drop count + per-site aggregates)
+/// between `histograms` and `rows`. Early v2 documents also end with
+/// the two keys of the since-removed event ring; readers ignore them.
 pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// An immutable copy of one histogram's state.
@@ -145,10 +143,6 @@ pub struct TraceReport {
     pub span_sites: Vec<SpanSiteStat>,
     /// Span records evicted from full per-thread rings (schema v2).
     pub spans_dropped: u64,
-    /// Surviving ring-buffer events, sequence-ascending.
-    pub events: Vec<Event>,
-    /// Events overwritten after the ring filled.
-    pub dropped_events: u64,
     /// Optional per-label counter breakdowns (bench rows).
     pub rows: BTreeMap<String, BTreeMap<String, u64>>,
 }
@@ -176,8 +170,7 @@ impl TraceReport {
 
     /// Serialize to the stable trace JSON schema (version
     /// [`TRACE_SCHEMA_VERSION`]): sorted keys, sparse histogram
-    /// buckets as `[floor, count]` pairs, events as
-    /// `[seq, at_ns, name, value]` tuples.
+    /// buckets as `[floor, count]` pairs.
     pub fn to_json(&self, workload: &str) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
@@ -270,27 +263,7 @@ impl TraceReport {
         if !self.rows.is_empty() {
             s.push('\n');
         }
-        s.push_str("  },\n");
-        s.push_str("  \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            let _ = write!(
-                s,
-                "    [{}, {}, {}, {}]",
-                ev.seq,
-                ev.at_ns,
-                json_str(ev.name),
-                ev.value
-            );
-        }
-        if !self.events.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"dropped_events\": {}", self.dropped_events);
+        s.push_str("  }\n");
         s.push_str("}\n");
         s
     }
@@ -383,13 +356,6 @@ impl TraceReport {
                 self.spans_dropped
             );
         }
-        if self.dropped_events > 0 {
-            let _ = writeln!(
-                s,
-                "  ({} events dropped from the ring)",
-                self.dropped_events
-            );
-        }
         s
     }
 }
@@ -474,13 +440,6 @@ mod tests {
                 max_ns: 100,
             }],
             spans_dropped: 0,
-            events: vec![Event {
-                seq: 0,
-                at_ns: 17,
-                name: "tick",
-                value: 9,
-            }],
-            dropped_events: 0,
             rows: BTreeMap::new(),
         }
     }
@@ -498,7 +457,6 @@ mod tests {
         assert!(a.contains("\"lat_ns\": {\"count\": 2, \"sum\": 5, \"p50\": 0, \"p99\": 4}"));
         assert!(a.contains("\"spans\": {\"dropped\": 0, \"sites\": {"));
         assert!(a.contains("\"demo.step_ns\": {\"count\": 2, \"total_ns\": 110, \"max_ns\": 100}"));
-        assert!(a.contains("[0, 17, \"tick\", 9]"));
         assert!(a.trim_end().ends_with('}'));
         // Braces and brackets balance (stringless schema sanity).
         let opens = a.matches('{').count() + a.matches('[').count();

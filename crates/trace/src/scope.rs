@@ -1,28 +1,6 @@
-//! Scoped metric groups: counters and histograms whose lifetime is an
-//! object, not the process.
-//!
-//! The global [`Registry`](crate::Registry) interns every metric name
-//! forever — exactly right for the fixed vocabulary of instrumentation
-//! points, and exactly wrong for *per-entity* metrics like "queries
-//! answered by session 17", whose names are unbounded. A [`Scope`] is
-//! the per-entity counterpart: a named, heap-owned group of the same
-//! [`Counter`]/[`Histogram`] primitives that drops with its owner,
-//! snapshots into the same [`TraceReport`] (so the stable JSON writer
-//! and the fixed-width table render it unchanged), and is **not**
-//! gated by the global trace switch — a session's own statistics must
-//! be reportable whether or not `KPA_TRACE` is on.
-//!
-//! # Examples
-//!
-//! ```
-//! let scope = kpa_trace::Scope::new("session-1");
-//! scope.counter("queries").add(3);
-//! scope.histogram("batch_ns").record(1800);
-//! let report = scope.snapshot();
-//! assert_eq!(report.counter("queries"), 3);
-//! assert_eq!(report.histograms["batch_ns"].count, 1);
-//! // Dropping the scope releases every metric it owned.
-//! ```
+//! Scoped metric groups, and the one map shape and get-or-create path
+//! every metric group in the crate — the process-global registry
+//! included — is built from.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -31,18 +9,63 @@ use crate::metrics::{Counter, Histogram};
 use crate::report::{HistogramSnapshot, TraceReport, WindowedSnapshot};
 use crate::rolling::RollingHistogram;
 
-/// A named, independently owned group of counters and histograms.
+/// A name → shared-handle map: the one shape every metric group in
+/// this crate (a [`Scope`]'s three maps, the registry's span sites)
+/// is stored in.
+pub(crate) type Map<T> = Mutex<BTreeMap<String, Arc<T>>>;
+
+/// Look up `name` in `map`, creating its entry with `make` on first
+/// use. The one get-or-create path of the crate.
+pub(crate) fn get_or_create<T>(map: &Map<T>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    let mut map = map.lock().expect("trace metric map");
+    if let Some(m) = map.get(name) {
+        return Arc::clone(m);
+    }
+    let m = Arc::new(make());
+    map.insert(name.to_owned(), Arc::clone(&m));
+    m
+}
+
+fn snapshot_map<T, S>(map: &Map<T>, of: impl Fn(&T) -> S) -> BTreeMap<String, S> {
+    let map = map.lock().expect("trace metric map");
+    map.iter().map(|(k, m)| (k.clone(), of(m))).collect()
+}
+
+/// A named, independently owned group of counters, histograms and
+/// rolling windows: metrics whose lifetime is an object, not the
+/// process.
+///
+/// The process-global [`Registry`](crate::Registry) is one `Scope`
+/// that lives forever — exactly right for the fixed vocabulary of
+/// instrumentation points, and exactly wrong for *per-entity* metrics
+/// like "queries answered by session 17", whose names are unbounded.
+/// A `Scope` of its own drops with its owner, snapshots into the same
+/// [`TraceReport`] (so the stable JSON writer and the fixed-width
+/// table render it unchanged), and is **not** gated by the global
+/// trace switch — a session's own statistics must be reportable
+/// whether or not `KPA_TRACE` is on.
 ///
 /// Metric handles are shared `Arc`s: look one up once and update it
 /// lock-free from any thread; the scope's maps are only locked on
-/// first registration and at snapshot time. See the [module
-/// docs](self) for how scopes differ from the global registry.
+/// first registration and at snapshot time.
+///
+/// # Examples
+///
+/// ```
+/// let scope = kpa_trace::Scope::new("session-1");
+/// scope.counter("queries").add(3);
+/// scope.histogram("batch_ns").record(1800);
+/// let report = scope.snapshot();
+/// assert_eq!(report.counter("queries"), 3);
+/// assert_eq!(report.histograms["batch_ns"].count, 1);
+/// // Dropping the scope releases every metric it owned.
+/// ```
 #[derive(Debug, Default)]
 pub struct Scope {
     label: String,
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    rollings: Mutex<BTreeMap<String, Arc<RollingHistogram>>>,
+    counters: Map<Counter>,
+    histograms: Map<Histogram>,
+    rollings: Map<RollingHistogram>,
 }
 
 impl Scope {
@@ -52,9 +75,7 @@ impl Scope {
     pub fn new(label: impl Into<String>) -> Scope {
         Scope {
             label: label.into(),
-            counters: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            rollings: Mutex::new(BTreeMap::new()),
+            ..Scope::default()
         }
     }
 
@@ -66,24 +87,12 @@ impl Scope {
 
     /// Look up (or create) the scope-local counter called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("scope counters");
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        map.insert(name.to_owned(), Arc::clone(&c));
-        c
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// Look up (or create) the scope-local histogram called `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("scope histograms");
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        map.insert(name.to_owned(), Arc::clone(&h));
-        h
+        get_or_create(&self.histograms, name, Histogram::new)
     }
 
     /// Record one sample into the scope-local histogram called `name`.
@@ -99,13 +108,7 @@ impl Scope {
     /// called `name`. Rolling histograms wrap cumulative ones at the
     /// call site; [`Scope::record_windowed`] records into both.
     pub fn rolling(&self, name: &str) -> Arc<RollingHistogram> {
-        let mut map = self.rollings.lock().expect("scope rollings");
-        if let Some(r) = map.get(name) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(RollingHistogram::new());
-        map.insert(name.to_owned(), Arc::clone(&r));
-        r
+        get_or_create(&self.rollings, name, RollingHistogram::new)
     }
 
     /// Record one sample into both the cumulative histogram and the
@@ -122,37 +125,31 @@ impl Scope {
     /// [`TraceReport`] shape the global registry snapshots into — so
     /// [`TraceReport::to_json`] and [`TraceReport::render_table`] work
     /// on it unchanged. Scope reports always carry `enabled: true`
-    /// (scopes are not gated) and have no events or rows.
+    /// (scopes are not gated) and have no span sites or rows.
     #[must_use]
     pub fn snapshot(&self) -> TraceReport {
-        let counters = {
-            let map = self.counters.lock().expect("scope counters");
-            map.iter()
-                .map(|(k, c)| (k.clone(), c.get()))
-                .collect::<BTreeMap<String, u64>>()
-        };
-        let histograms = {
-            let map = self.histograms.lock().expect("scope histograms");
-            map.iter()
-                .map(|(k, h)| (k.clone(), HistogramSnapshot::of(h)))
-                .collect::<BTreeMap<String, HistogramSnapshot>>()
-        };
-        let windowed = {
-            let map = self.rollings.lock().expect("scope rollings");
-            map.iter()
-                .map(|(k, r)| (k.clone(), WindowedSnapshot::of(&r.window())))
-                .collect::<BTreeMap<String, WindowedSnapshot>>()
-        };
         TraceReport {
             enabled: true,
-            counters,
-            histograms,
-            windowed,
+            counters: snapshot_map(&self.counters, Counter::get),
+            histograms: snapshot_map(&self.histograms, HistogramSnapshot::of),
+            windowed: snapshot_map(&self.rollings, |r| WindowedSnapshot::of(&r.window())),
             span_sites: Vec::new(),
             spans_dropped: 0,
-            events: Vec::new(),
-            dropped_events: 0,
             rows: BTreeMap::new(),
+        }
+    }
+
+    /// Zero every metric in the scope, keeping the registrations (and
+    /// so every handle callers cached) alive.
+    pub(crate) fn reset(&self) {
+        for c in self.counters.lock().expect("trace metric map").values() {
+            c.reset();
+        }
+        for h in self.histograms.lock().expect("trace metric map").values() {
+            h.reset();
+        }
+        for r in self.rollings.lock().expect("trace metric map").values() {
+            r.reset();
         }
     }
 }

@@ -22,9 +22,9 @@
 //! disabled arm is still exactly one relaxed load and a branch. While
 //! enabled, recording costs one uncontended mutex lock on the thread's
 //! own ring (the collector is the only other party that ever takes
-//! it). The per-thread ring capacity is [`SPAN_RING_CAPACITY`] records
-//! unless `KPA_TRACE_SPANS` overrides it (read once; `0` disables span
-//! recording entirely while keeping histograms live).
+//! it). Each per-thread ring holds [`SPAN_RING_CAPACITY`] records;
+//! per-site totals never depend on it, because they are read from the
+//! sites' cumulative histograms ([`Registry::span_sites`](crate::Registry::span_sites)).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -35,8 +35,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::metrics::Histogram;
 use crate::report::json_escape;
 
-/// Default per-thread span-ring capacity (records; oldest evicted and
-/// counted as dropped past this). Override with `KPA_TRACE_SPANS`.
+/// Per-thread span-ring capacity (records; oldest evicted and counted
+/// as dropped past this).
 pub const SPAN_RING_CAPACITY: usize = 4096;
 
 /// A request-correlation id. `0` ([`TraceId::NONE`]) means "no request
@@ -109,12 +109,12 @@ pub struct SpanRecord {
 /// site name, cached together behind the macro's `OnceLock`.
 #[derive(Debug)]
 pub struct SpanSite {
-    pub(crate) name: &'static str,
-    pub(crate) hist: &'static Histogram,
+    name: &'static str,
+    hist: Arc<Histogram>,
 }
 
 impl SpanSite {
-    pub(crate) fn new(name: &'static str, hist: &'static Histogram) -> SpanSite {
+    pub(crate) fn new(name: &'static str, hist: Arc<Histogram>) -> SpanSite {
         SpanSite { name, hist }
     }
 
@@ -126,13 +126,24 @@ impl SpanSite {
 
     /// The site's cumulative duration histogram.
     #[must_use]
-    pub fn histogram(&self) -> &'static Histogram {
-        self.hist
+    pub fn histogram(&self) -> &Arc<Histogram> {
+        &self.hist
+    }
+
+    /// The site's aggregate, read from its histogram; `None` while it
+    /// has recorded no span.
+    pub(crate) fn stat(&self) -> Option<SpanSiteStat> {
+        Some(SpanSiteStat {
+            site: self.name,
+            count: self.hist.count(),
+            total_ns: self.hist.sum(),
+            max_ns: self.hist.max()?,
+        })
     }
 }
 
+#[derive(Default)]
 struct RingState {
-    capacity: usize,
     records: VecDeque<SpanRecord>,
     dropped: u64,
 }
@@ -145,7 +156,7 @@ struct ThreadRing {
 impl ThreadRing {
     fn push(&self, record: SpanRecord) {
         let mut state = self.state.lock().expect("span ring");
-        if state.records.len() >= state.capacity {
+        if state.records.len() >= SPAN_RING_CAPACITY {
             state.records.pop_front();
             state.dropped += 1;
         }
@@ -157,19 +168,6 @@ impl ThreadRing {
 fn rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
     static RINGS: OnceLock<Mutex<Vec<Arc<ThreadRing>>>> = OnceLock::new();
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// The per-thread ring capacity: `KPA_TRACE_SPANS` when set to a
-/// non-negative integer (0 disables recording), else
-/// [`SPAN_RING_CAPACITY`]. Read once per process.
-pub fn span_ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("KPA_TRACE_SPANS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(SPAN_RING_CAPACITY)
-    })
 }
 
 thread_local! {
@@ -190,11 +188,7 @@ fn local_ring() -> Arc<ThreadRing> {
         static NEXT_INDEX: AtomicU64 = AtomicU64::new(0);
         let ring = Arc::new(ThreadRing {
             index: NEXT_INDEX.fetch_add(1, Ordering::Relaxed),
-            state: Mutex::new(RingState {
-                capacity: span_ring_capacity().max(1),
-                records: VecDeque::new(),
-                dropped: 0,
-            }),
+            state: Mutex::default(),
         });
         rings().lock().expect("span rings").push(Arc::clone(&ring));
         *slot = Some(Arc::clone(&ring));
@@ -251,12 +245,8 @@ pub(crate) struct ActiveSpan {
 
 impl ActiveSpan {
     /// Open a recorded span at `site`, pushing it on the thread's open
-    /// stack. Returns `None` when span recording is disabled
-    /// (`KPA_TRACE_SPANS=0`).
-    pub(crate) fn begin(site: &'static str) -> Option<ActiveSpan> {
-        if span_ring_capacity() == 0 {
-            return None;
-        }
+    /// stack.
+    pub(crate) fn begin(site: &'static str) -> ActiveSpan {
         static SEQ: AtomicU64 = AtomicU64::new(1);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         let parent = OPEN_SPANS.with(|stack| {
@@ -265,13 +255,13 @@ impl ActiveSpan {
             stack.push(seq);
             parent
         });
-        Some(ActiveSpan {
+        ActiveSpan {
             site,
             seq,
             parent,
             start_ns: crate::registry().now_ns(),
             trace_id: AMBIENT.with(Cell::get),
-        })
+        }
     }
 
     /// Close the span with its measured duration and append the record
@@ -338,6 +328,16 @@ pub(crate) fn reset_spans() {
     let _ = collect(true);
 }
 
+/// Records evicted from full rings since the last drain, without
+/// copying any record.
+pub(crate) fn dropped_span_records() -> u64 {
+    let rings = rings().lock().expect("span rings");
+    rings
+        .iter()
+        .map(|ring| ring.state.lock().expect("span ring").dropped)
+        .sum()
+}
+
 /// One node of a stitched span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanNode {
@@ -398,7 +398,8 @@ pub fn stitch_span_trees(records: &[SpanRecord]) -> Vec<SpanTree> {
         .collect()
 }
 
-/// Per-site aggregate over a batch of span records, hottest first.
+/// One `span!` site's totals, read from its cumulative histogram (see
+/// [`Registry::span_sites`](crate::Registry::span_sites)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSiteStat {
     /// The `span!` site name.
@@ -409,31 +410,6 @@ pub struct SpanSiteStat {
     pub total_ns: u64,
     /// Longest single span.
     pub max_ns: u64,
-}
-
-/// Aggregate records site-by-site, sorted by total time descending
-/// (ties broken by name for determinism) — the "hottest span sites"
-/// view `kpa-top` and the `metrics` op serve.
-#[must_use]
-pub fn span_site_stats(records: &[SpanRecord]) -> Vec<SpanSiteStat> {
-    let mut by_site: BTreeMap<&'static str, (u64, u64, u64)> = BTreeMap::new();
-    for record in records {
-        let entry = by_site.entry(record.site).or_insert((0, 0, 0));
-        entry.0 += 1;
-        entry.1 += record.dur_ns;
-        entry.2 = entry.2.max(record.dur_ns);
-    }
-    let mut stats: Vec<SpanSiteStat> = by_site
-        .into_iter()
-        .map(|(site, (count, total_ns, max_ns))| SpanSiteStat {
-            site,
-            count,
-            total_ns,
-            max_ns,
-        })
-        .collect();
-    stats.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.site.cmp(b.site)));
-    stats
 }
 
 /// Export records as Chrome `trace_event` JSON (load in
@@ -566,22 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn site_stats_rank_by_total_time() {
-        let records = vec![
-            rec("cold", 1, 0, 0, 10),
-            rec("hot", 2, 0, 0, 100),
-            rec("hot", 3, 0, 0, 300),
-        ];
-        let stats = span_site_stats(&records);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].site, "hot");
-        assert_eq!(stats[0].count, 2);
-        assert_eq!(stats[0].total_ns, 400);
-        assert_eq!(stats[0].max_ns, 300);
-        assert_eq!(stats[1].site, "cold");
-    }
-
-    #[test]
     fn chrome_export_is_wellformed_trace_event_json() {
         let records = vec![rec("a.b_ns", 1, 0, 1_500, 2_250), rec("c", 2, 1, 2_000, 10)];
         let json = spans_to_chrome_json(&records);
@@ -609,17 +569,14 @@ mod tests {
     fn ring_bounds_and_drops() {
         let ring = ThreadRing {
             index: 0,
-            state: Mutex::new(RingState {
-                capacity: 2,
-                records: VecDeque::new(),
-                dropped: 0,
-            }),
+            state: Mutex::default(),
         };
-        for seq in 1..=5 {
+        let pushed = SPAN_RING_CAPACITY as u64 + 3;
+        for seq in 1..=pushed {
             ring.push(rec("x", seq, 0, seq, 1));
         }
         let state = ring.state.lock().unwrap();
-        assert_eq!(state.records.len(), 2);
+        assert_eq!(state.records.len(), SPAN_RING_CAPACITY);
         assert_eq!(state.dropped, 3);
         assert_eq!(state.records.front().unwrap().seq, 4, "oldest evicted");
     }

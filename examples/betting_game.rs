@@ -22,7 +22,7 @@ use kpa::system::{PointId, ProtocolBuilder, TreeId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace everything the example does (equivalently: KPA_TRACE=1).
-    kpa::trace::Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     kpa::trace::registry().reset();
 
     // p_j tosses a coin that lands heads with probability 2/3 and

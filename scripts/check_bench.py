@@ -39,7 +39,7 @@ instead of bench rows.  The gate then:
 
   1. schema-checks the fresh report (``kpa_trace`` version 2, counters
      as string -> non-negative int, each histogram's ``count`` equal to
-     its bucket mass, well-formed rows/events, and the v2 sections:
+     its bucket mass, well-formed rows, and the v2 sections:
      ``windowed`` rolling summaries with ordered ``p50 <= p99`` and
      ``spans`` per-site aggregates -- both required present, and the
      fresh report's window must actually hold samples);
@@ -427,11 +427,6 @@ def check_trace_schema(report, path):
             not isinstance(v, int) or v < 0 for v in row.values()
         ):
             err(f"row {label!r} must map counter names to non-negative ints")
-    if not isinstance(report.get("events"), list):
-        err("'events' must be an array")
-    dropped = report.get("dropped_events")
-    if not isinstance(dropped, int) or dropped < 0:
-        err("'dropped_events' must be a non-negative int")
     return failures
 
 
@@ -617,8 +612,6 @@ def selftest():
                 },
             },
             "rows": {},
-            "events": [],
-            "dropped_events": 0,
         }
         report.update(overrides)
         return report

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: the checks every PR must pass, runnable fully offline.
 #
-#   ./scripts/ci.sh          # fmt + build + test + bench gate + clippy
+#   ./scripts/ci.sh          # fmt + build + test + bench gate + clippy + docs
 #   FUZZ=1 ./scripts/ci.sh   # additionally run the widened property sweeps
 #
 # FUZZ=1 multiplies the sharded property-test case counts ~5x
@@ -100,5 +100,9 @@ if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 
 else
     echo "==> clippy not installed; skipping lint step"
 fi
+
+# Broken or private intra-doc links fail the docs build.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --lib --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
 echo "CI checks passed."

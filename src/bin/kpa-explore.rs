@@ -151,31 +151,20 @@ fn print_trace(on: bool) {
     }
 }
 
-/// `--trace-events`: dumps the raw event ring, the per-site span
-/// summary, the flamegraph-foldable stacks, and the Chrome
-/// `trace_event` JSON for everything this run recorded.
+/// `--trace-events`: dumps the per-site span totals, the
+/// flamegraph-foldable stacks, and the Chrome `trace_event` JSON for
+/// everything this run recorded.
 fn dump_trace_events(on: bool) {
     if !on {
         return;
     }
-    let report = kpa_trace::registry().snapshot();
+    let (sites, dropped) = kpa_trace::registry().span_sites();
+    let (records, _) = kpa_trace::snapshot_span_records();
     println!(
-        "\n== trace events ({} captured, {} dropped) ==",
-        report.events.len(),
-        report.dropped_events
-    );
-    for e in &report.events {
-        println!(
-            "  [{:>6}] {:>12} ns  {} = {}",
-            e.seq, e.at_ns, e.name, e.value
-        );
-    }
-    let (records, dropped) = kpa_trace::snapshot_span_records();
-    println!(
-        "== span sites ({} spans, {dropped} dropped) ==",
+        "\n== span sites ({} spans in the rings, {dropped} dropped) ==",
         records.len()
     );
-    for s in kpa_trace::span_site_stats(&records) {
+    for s in sites {
         println!(
             "  {:<28} count {:>6}  total {:>12} ns  max {:>10} ns",
             s.site, s.count, s.total_ns, s.max_ns
@@ -319,7 +308,7 @@ fn run_connect(
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
     if args.trace {
-        kpa_trace::Trace::enabled(true);
+        kpa_trace::set_enabled(true);
         kpa_trace::registry().reset();
     }
     // Give the whole run one trace id, so its spans stitch into a
@@ -481,7 +470,7 @@ mod tests {
             "--trace",
         ]))
         .unwrap();
-        kpa_trace::Trace::enabled(false);
+        kpa_trace::set_enabled(false);
         // --trace-events implies --trace and dumps rings/spans/exports.
         run(&argv(&[
             "--system",
@@ -491,7 +480,7 @@ mod tests {
             "--trace-events",
         ]))
         .unwrap();
-        kpa_trace::Trace::enabled(false);
+        kpa_trace::set_enabled(false);
         // --shared N: concurrent clients over one artifact, checked
         // against the serial model (with and without --trace).
         run(&argv(&[
@@ -513,7 +502,7 @@ mod tests {
             "--trace",
         ]))
         .unwrap();
-        kpa_trace::Trace::enabled(false);
+        kpa_trace::set_enabled(false);
         // --connect: replay against a loopback kpa-serve and bit-check.
         let mut server = kpa::serve::Server::bind(kpa::serve::ServeConfig::default()).unwrap();
         let addr = server.local_addr().to_string();

@@ -271,7 +271,7 @@ fn hash_consing_is_structural_and_threshold_sensitive() {
 /// monotone, so other tests in this binary cannot break the assert).
 #[test]
 fn shared_subterms_hit_the_unified_memo() {
-    kpa::trace::Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     let registry = kpa::trace::registry();
 
     let sys = async_coin_tosses(3).expect("builds");

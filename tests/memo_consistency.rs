@@ -154,7 +154,7 @@ fn interleaved_shared_subterms_match_fresh() {
 fn interleaved_pr_ge_thresholds_hit_the_plan_and_pr_memo() {
     // Tracing must be on for the registry to record anything; it is
     // observationally invisible (see tests/trace_invisibility.rs).
-    kpa::trace::Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     let registry = kpa::trace::registry();
 
     let sys = async_coin_tosses(3).expect("builds");

@@ -16,9 +16,11 @@
 mod common;
 
 use common::case_seed;
-use kpa::measure::Rng64;
+use kpa::measure::{rat, Rat, Rng64};
 use kpa::serve::json::Value;
-use kpa::serve::{Client, ClientError, QueryItem, QueryKind, ServeConfig, Server};
+use kpa::serve::{
+    Client, ClientError, QueryItem, QueryKind, ServeConfig, Server, SpecRound, SystemSpec,
+};
 use std::time::Duration;
 
 /// A config with short limits, so limit paths run in test time.
@@ -290,6 +292,53 @@ fn adversarial_rationals_get_reply_frames() {
     }
     // The connection and the server are both still healthy.
     c.hello().expect("healthy after extreme thresholds");
+    server.shutdown();
+}
+
+/// A frame just under the default `max_frame` carrying one long string
+/// is parsed in linear time: the reply arrives well inside the client
+/// deadline instead of after a quadratic re-scan of the string.
+#[test]
+fn long_string_frames_parse_in_linear_time() {
+    let mut server = Server::bind(ServeConfig::default()).expect("bind");
+    let mut c = Client::connect_with_deadline(server.local_addr(), Duration::from_secs(5))
+        .expect("connect");
+    let long = "x".repeat(900 << 10);
+    c.request("hello", vec![("client", Value::Str(long))])
+        .expect("hello reply within the deadline");
+    c.hello().expect("connection still usable");
+    server.shutdown();
+}
+
+/// A wire spec whose run probabilities overflow exact `i128`
+/// rationals is a recoverable error frame, not a panicked connection.
+#[test]
+fn overflowing_spec_probabilities_get_an_error_frame() {
+    let mut server = Server::bind(tight_config()).expect("bind");
+    let mut c = connect(&server);
+    let spec = SystemSpec {
+        agents: 2,
+        two_adversaries: false,
+        clockless_mask: 0,
+        rounds: vec![
+            SpecRound {
+                bias: Rat::new(1, i128::MAX),
+                observers: 1,
+            },
+            SpecRound {
+                bias: rat!(1 / 3),
+                observers: 2,
+            },
+        ],
+    };
+    match c.load_spec(&spec, "post") {
+        Err(ClientError::Server { fatal, message, .. }) => {
+            assert!(!fatal, "a bad spec must not end the connection");
+            assert!(message.contains("overflow"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    c.hello().expect("connection still usable");
     server.shutdown();
 }
 

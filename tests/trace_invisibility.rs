@@ -26,7 +26,7 @@ use kpa::protocols::{async_coin_tosses, ca1, recent_heads, secret_coin};
 use kpa::system::AgentId;
 use kpa::trace::{
     ambient_guard, bucket_floor, bucket_of, next_trace_id, snapshot_span_records,
-    stitch_span_trees, take_span_records, Trace, BUCKETS,
+    stitch_span_trees, take_span_records, BUCKETS,
 };
 
 /// Everything the workload computes, in exact (bit-comparable) form.
@@ -176,7 +176,7 @@ fn tracing_is_observationally_invisible() {
     // Sequential by construction: toggling the global trace state from
     // concurrent tests would race, so this binary keeps every phase in
     // one test function.
-    Trace::enabled(false);
+    kpa::trace::set_enabled(false);
     let _ = take_span_records();
     let off = workload();
     assert!(
@@ -184,7 +184,7 @@ fn tracing_is_observationally_invisible() {
         "tracing off must record no span records"
     );
 
-    Trace::enabled(true);
+    kpa::trace::set_enabled(true);
     kpa::trace::registry().reset();
     // Run the traced workload under one request trace id — the same
     // shape kpa-serve gives each frame — so its spans stitch into
@@ -246,7 +246,7 @@ fn tracing_is_observationally_invisible() {
         "the 4-worker run must record chunk spans from pool workers"
     );
 
-    Trace::enabled(false);
+    kpa::trace::set_enabled(false);
     let resident = snapshot_span_records().0.len();
     let off_again = workload();
     assert_eq!(
