@@ -27,7 +27,6 @@ use crate::error::AsyncError;
 use kpa_assign::DensePointSpace;
 use kpa_logic::PointSet;
 use kpa_measure::{BlockSpace, Rat};
-use kpa_pool::Pool;
 use kpa_system::{NodeId, PointId, RunId, System};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -166,19 +165,18 @@ impl CutClass {
                     }
                     Some((lo / total, hi / total))
                 };
-                let partials =
-                    Pool::current().par_map_chunks(horizon + 1, START_MIN_CHUNK, |range| {
-                        let mut best: Option<(Rat, Rat)> = None;
-                        for start in range {
-                            if let Some((lo, hi)) = window_at(start) {
-                                best = Some(match best {
-                                    None => (lo, hi),
-                                    Some((l, h)) => (l.min(lo), h.max(hi)),
-                                });
-                            }
+                let partials = kpa_pool::par_map_chunks(horizon + 1, START_MIN_CHUNK, |range| {
+                    let mut best: Option<(Rat, Rat)> = None;
+                    for start in range {
+                        if let Some((lo, hi)) = window_at(start) {
+                            best = Some(match best {
+                                None => (lo, hi),
+                                Some((l, h)) => (l.min(lo), h.max(hi)),
+                            });
                         }
-                        best
-                    });
+                    }
+                    best
+                });
                 let mut best: Option<(Rat, Rat)> = None;
                 for partial in partials.into_iter().flatten() {
                     let (lo, hi) = partial;

@@ -13,7 +13,6 @@ use crate::error::AsyncError;
 use kpa_assign::{Assignment, ProbAssignment};
 use kpa_logic::PointSet;
 use kpa_measure::Rat;
-use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, System};
 
 /// Minimum points per chunk before [`prop10_holds`] fans out onto the
@@ -80,7 +79,7 @@ pub fn prop10_holds(sys: &System, agent: AgentId, phi: &PointSet) -> Result<bool
     // boolean a serial sweep computes (each chunk short-circuits
     // internally; `&&` over ordered chunks is associative and exact).
     let _sweep_timer = kpa_trace::span!("async.prop10_ns");
-    let partials = Pool::current().par_map_chunks(points.len(), POINT_MIN_CHUNK, |range| {
+    let partials = kpa_pool::par_map_chunks(points.len(), POINT_MIN_CHUNK, |range| {
         kpa_trace::count!("async.prop10_points", range.len() as u64);
         let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
         let mut chunk_ok = true;

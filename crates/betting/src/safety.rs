@@ -30,7 +30,6 @@ use crate::strategy::Strategy;
 use kpa_assign::{Assignment, DensePointSpace, ProbAssignment};
 use kpa_logic::PointSet;
 use kpa_measure::Rat;
-use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, System};
 use std::sync::Arc;
 
@@ -220,7 +219,7 @@ impl<'s> BettingGame<'s> {
             .map(|(_, class)| class)
             .collect();
         let plan = self.opp.sample_plan(self.bettor);
-        let partials = Pool::current().par_map_chunks(classes.len(), CLASS_MIN_CHUNK, |range| {
+        let partials = kpa_pool::par_map_chunks(classes.len(), CLASS_MIN_CHUNK, |range| {
             let mut accs: Vec<PointSet> = (0..k).map(|_| self.sys.empty_points()).collect();
             let mut by_space: std::collections::HashMap<*const DensePointSpace, Rat> =
                 std::collections::HashMap::new();
@@ -299,7 +298,7 @@ impl<'s> BettingGame<'s> {
             .map(|(_, class)| class)
             .collect();
         let plan = self.opp.sample_plan(self.bettor);
-        let partials = Pool::current().par_map_chunks(classes.len(), CLASS_MIN_CHUNK, |range| {
+        let partials = kpa_pool::par_map_chunks(classes.len(), CLASS_MIN_CHUNK, |range| {
             let mut acc = self.sys.empty_points();
             let (mut plan_hits, mut fallbacks) = (0u64, 0u64);
             kpa_trace::count!("betting.classes_scanned", range.len() as u64);
@@ -446,7 +445,7 @@ impl<'s> BettingGame<'s> {
     pub fn proposition6_holds(&self, rule: &BetRule) -> Result<bool, BettingError> {
         let _sweep_timer = kpa_trace::span!("betting.prop6_ns");
         let points: Vec<PointId> = self.sys.points().collect();
-        let partials = Pool::current().par_map_chunks(points.len(), POINT_MIN_CHUNK, |range| {
+        let partials = kpa_pool::par_map_chunks(points.len(), POINT_MIN_CHUNK, |range| {
             kpa_trace::count!("betting.prop6_points", range.len() as u64);
             for &c in &points[range] {
                 if self.tree_safe_at(c, rule)? != self.is_safe_at(c, rule)? {

@@ -44,7 +44,6 @@ use crate::error::LogicError;
 use crate::formula::Formula;
 use kpa_assign::{AssignCore, Assignment, DensePointSpace, ShardMap};
 use kpa_measure::Rat;
-use kpa_pool::Pool;
 use kpa_system::{AgentId, PointId, PointSet, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -64,7 +63,7 @@ const PR_MIN_CHUNK: usize = 64;
 pub(crate) fn knows_scan(sys: &System, agent: AgentId, sat: &PointSet) -> PointSet {
     kpa_trace::count!("logic.knows_scan");
     let classes: Vec<&PointSet> = sys.local_classes(agent).map(|(_, class)| class).collect();
-    let partials = Pool::current().par_map_chunks(classes.len(), KNOWS_MIN_CHUNK, |range| {
+    let partials = kpa_pool::par_map_chunks(classes.len(), KNOWS_MIN_CHUNK, |range| {
         let mut acc = sys.empty_points();
         for class in &classes[range] {
             if class.is_subset(sat) {
@@ -110,7 +109,7 @@ pub(crate) fn pr_ge_sweep(
     // immutable table; plan slots are write-once, so the warm fetch is
     // a single atomic load.
     let plan = core.sample_plan(sys, agent);
-    let partials = Pool::current().par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
+    let partials = kpa_pool::par_map_chunks(points.len(), PR_MIN_CHUNK, |range| {
         let mut accs: Vec<PointSet> = (0..k).map(|_| sys.empty_points()).collect();
         let mut by_space: HashMap<*const DensePointSpace, Vec<bool>> = HashMap::new();
         let mut hits = 0u64;

@@ -15,7 +15,7 @@
 //! agent's cached local classes, `◯` is a word shift
 //! ([`PointSet::precursors`]), and `U` is a least-fixpoint of shifts.
 //! The `Kᵢ` scan and the `Prᵢ ≥ α` space sweep run on the in-repo
-//! [`kpa_pool`] work-stealing pool and reduce by unioning
+//! [`kpa_pool`] slice pool and reduce by unioning
 //! fixed-boundary chunk partials in chunk order, so the resulting
 //! bitsets are bit-identical to a serial evaluation at any thread count
 //! (see `DESIGN.md`, "Deterministic parallel sweeps").

@@ -1,91 +1,61 @@
-//! # kpa-pool — in-repo deterministic work-stealing thread pool
+//! # kpa-pool — in-repo deterministic parallel slice sweeps
 //!
-//! The paper's semantics decompose every global question — `Model::sat`
-//! model checking, betting-game safety decisions (Theorems 7–9), and
-//! asynchrony cut bounds (Proposition 10) — into independent sweeps
-//! over disjoint slices of the dense point universe: the point
-//! `(tree, run, time)` lives at index `tree_base[tree] + run·(h+1) +
-//! time`, so per-tree (and per-run-range) slices are contiguous,
-//! non-overlapping index ranges. This crate parallelizes those sweeps
-//! with a rayon-style *scoped* work-stealing pool built only on `std`,
-//! keeping the workspace hermetic (no external dependencies, builds
-//! `--offline`).
+//! The paper's global questions — the `Kᵢ` and `Prᵢ ≥ α` sweeps of
+//! model checking, betting-game safety (Theorems 7–9) and asynchrony
+//! cut bounds (Proposition 10) — are independent sweeps over disjoint
+//! slices of a flat list: the dense point universe or an agent's class
+//! list. This crate runs them through one primitive, [`par_map_chunks`],
+//! built only on `std` (no external dependencies, builds `--offline`).
 //!
 //! ## Determinism contract
 //!
-//! Parallel results are **bit-identical to serial** results, by
-//! construction:
+//! Parallel results are **bit-identical to serial** results:
 //!
-//! * Work is split into slices with *fixed* boundaries computed from
-//!   `(len, threads)` — never by adaptive splitting. Stealing only
-//!   changes *which worker executes* a slice, not what the slice is.
-//! * Every slice writes its partial result into a slot indexed by its
-//!   slice number; callers receive partials in slice order and must
-//!   combine them in that order (never completion order).
-//! * Reductions used by the workspace are exact and associative
-//!   (bitset union/intersection, exact [`Rat`] sums, `bool` and/or,
-//!   min/max), so even the slice-boundary differences between pools of
-//!   different sizes cannot change the combined value.
+//! * Slice boundaries are a fixed function of `(len, min_chunk,
+//!   threads)`; scheduling only changes *which worker* runs a slice.
+//! * Partials come back in slice order, and callers combine them in
+//!   that order (never completion order).
+//! * The workspace's reductions are exact and associative (bitset
+//!   union/intersection, exact `Rat` sums, `bool` and/or, min/max), so
+//!   the boundary differences between widths cannot change the result.
 //!
-//! The differential suite (`tests/parallel_differential.rs`) asserts
-//! the contract end to end across `threads ∈ {1, 2, N}`, and the
-//! fault-injection mode ([`Pool::with_fault_seed`]) randomizes steal
-//! order to shake out any accidental dependence on execution order.
+//! `tests/parallel_differential.rs` checks the contract end to end at
+//! several widths, with seeded per-slice sleeps that scramble
+//! completion order.
 //!
-//! ## Configuration
+//! ## Configuration and scheduling
 //!
-//! The worker count comes from, in priority order:
-//!
-//! 1. a [`with_threads`] override (scoped, per thread of control);
-//! 2. the `KPA_THREADS` environment variable (`0` or unset = auto);
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! At `threads = 1` every primitive degenerates to inline serial
-//! execution with no thread spawns, no locks taken, and no allocation
-//! beyond the result vector — the serial fallback *is* the serial code
-//! path.
-//!
-//! Workers are scoped: each parallel call spawns its workers via
-//! [`std::thread::scope`], which lets tasks borrow from the caller's
-//! stack without `unsafe` (the crate is `#![forbid(unsafe_code)]`).
-//! Sweeps in this workspace are coarse (milliseconds), so the
-//! microsecond-scale spawn cost is noise; in exchange the pool needs no
-//! global state, no leaked arenas, and no lifetime erasure.
-//!
-//! Nested parallel calls from inside a worker run serially (a worker
-//! is already one strand of an enclosing parallel region), so
-//! composing parallel sweeps cannot oversubscribe the machine.
+//! The width is a [`with_threads`] override, else `KPA_THREADS` (`0` or
+//! unset = auto), else [`std::thread::available_parallelism`]. At width
+//! 1, or with one slice, the slices run inline on the caller: no
+//! threads, no locks. Otherwise the caller and scoped workers
+//! ([`std::thread::scope`], so slices borrow the caller's stack without
+//! `unsafe`) claim slice indices from one shared atomic cursor until it
+//! passes the last slice. Nested calls from inside a worker run
+//! serially, so composed sweeps cannot oversubscribe the machine.
 //!
 //! ## Observability
 //!
-//! With `KPA_TRACE=1` (or `kpa_trace::set_enabled(true)`) the pool
-//! reports, per parallel region and per worker, into the global
-//! `kpa-trace` registry: `pool.tasks` (tasks executed), `pool.steals`
-//! (tasks taken from a victim's deque), `pool.serial_tasks` (tasks run
-//! on the inline serial path), the `pool.chunk_size` / `pool.chunks`
-//! histograms (what [`Pool::par_map_chunks`] actually chose — the
-//! input to any `min_chunk` tuning), and the `pool.busy_ns` /
-//! `pool.idle_ns` histograms (one sample per worker: time inside tasks
-//! vs. time spinning/stealing). Each executed task is additionally
-//! timed by a `pool.chunk_ns` span, and parallel regions forward the
-//! submitting thread's ambient `kpa_trace::TraceId` into their
-//! workers, so chunk spans executed on other threads still stitch
-//! into the submitting request's span tree. Tracing never changes
-//! which slice a task covers, so the determinism contract is
-//! untouched; disabled, it costs one relaxed load per region or task
-//! batch.
-//!
-//! [`Rat`]: https://docs.rs/kpa-measure
+//! While `kpa-trace` is enabled the pool records `pool.tasks` (slices
+//! run by parallel workers), `pool.steals` (those run away from their
+//! home worker under a contiguous deal), `pool.serial_tasks` (slices
+//! run inline), the `pool.chunks` / `pool.chunk_size` histograms, the
+//! per-worker `pool.busy_ns` / `pool.idle_ns` histograms and a
+//! `pool.chunk_ns` span per parallel slice. Workers inherit the
+//! caller's ambient trace id, so their spans stitch into the caller's
+//! request tree. Disabled, tracing costs one relaxed load per call or
+//! worker.
 //!
 //! # Examples
 //!
 //! ```
-//! use kpa_pool::Pool;
+//! use kpa_pool::{par_map_chunks, with_threads};
 //!
-//! // Sum of squares, computed over 4 fixed slices by up to 4 workers;
+//! // Sum of squares over fixed slices run by up to 4 workers;
 //! // partials come back in slice order.
-//! let pool = Pool::new(4);
-//! let partials = pool.par_map_chunks(1_000, 64, |r| r.map(|i| i * i).sum::<usize>());
+//! let partials = with_threads(4, || {
+//!     par_map_chunks(1_000, 64, |r| r.map(|i| i * i).sum::<usize>())
+//! });
 //! let total: usize = partials.iter().sum();
 //! assert_eq!(total, (0..1_000).map(|i| i * i).sum());
 //! ```
@@ -94,17 +64,17 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 /// Hard cap on the worker count (guards against absurd `KPA_THREADS`).
 pub const MAX_THREADS: usize = 64;
 
-/// Maximum slices handed out per worker by [`Pool::par_map_chunks`]:
-/// enough slack for stealing to balance uneven slices without making
-/// the per-slice overhead visible.
+/// Maximum slices per worker in [`par_map_chunks`]: enough slack for
+/// the shared cursor to balance uneven slices without making the
+/// per-slice overhead visible.
 const CHUNKS_PER_THREAD: usize = 4;
 
 thread_local! {
@@ -118,9 +88,7 @@ thread_local! {
 /// The process-wide default worker count: `KPA_THREADS` if set to a
 /// positive integer (`0` and garbage mean "auto"), else
 /// [`std::thread::available_parallelism`], capped at [`MAX_THREADS`].
-///
-/// The environment is read once and cached; use [`with_threads`] to
-/// vary the count within a process (the differential tests do).
+/// The environment is read once; [`with_threads`] varies the count.
 #[must_use]
 pub fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
@@ -135,9 +103,9 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// The worker count a [`Pool::current`] pool would use right now:
-/// `1` inside a pool worker, else the innermost [`with_threads`]
-/// override, else [`default_threads`].
+/// The worker count [`par_map_chunks`] would use right now: `1` inside
+/// a pool worker, else the innermost [`with_threads`] override, else
+/// [`default_threads`].
 #[must_use]
 pub fn current_threads() -> usize {
     if IN_WORKER.with(Cell::get) {
@@ -148,450 +116,158 @@ pub fn current_threads() -> usize {
         .unwrap_or_else(default_threads)
 }
 
-/// Runs `f` with the pool worker count pinned to `threads` (min 1) on
-/// this thread of control, restoring the previous setting afterwards
-/// (also on panic). Overrides nest.
-///
-/// This is how the differential tests and benches compare
-/// `threads = 1` against `threads = k` within one process.
+/// Runs `f` with the pool worker count pinned to `threads` (clamped to
+/// `1..=MAX_THREADS`) on this thread of control, restoring the previous
+/// setting afterwards (also on panic). Overrides nest.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = THREAD_OVERRIDE.with(|c| c.replace(Some(threads.clamp(1, MAX_THREADS))));
-    let _restore = Restore(prev);
-    f()
+    with_local(&THREAD_OVERRIDE, Some(threads.clamp(1, MAX_THREADS)), f)
 }
 
-/// A work-stealing pool configuration: worker count plus an optional
-/// fault-injection seed. Copyable and cheap — workers are spawned per
-/// parallel call ([`std::thread::scope`]), not kept resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pool {
-    threads: usize,
-    fault_seed: Option<u64>,
-}
-
-impl Pool {
-    /// A pool with exactly `threads` workers (min 1, capped at
-    /// [`MAX_THREADS`]).
-    #[must_use]
-    pub fn new(threads: usize) -> Pool {
-        Pool {
-            threads: threads.clamp(1, MAX_THREADS),
-            fault_seed: None,
-        }
+/// Splits `0..len` into `chunks` contiguous slices, maps `f` over them
+/// on up to [`current_threads`] workers, and returns the partials in
+/// slice order. `chunks` is `len / min_chunk` clamped to
+/// `[1, threads · 4]` (none for an empty input), and slice `k` is
+/// `k·len/chunks .. (k+1)·len/chunks`, so tiny inputs run inline as one
+/// slice. A panic inside `f` propagates to the caller.
+pub fn par_map_chunks<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    if len == 0 {
+        return Vec::new();
     }
-
-    /// The ambient pool: worker count from [`current_threads`]
-    /// (`KPA_THREADS` / [`with_threads`] / auto). This is what the
-    /// engine sweeps call at each parallel region.
-    #[must_use]
-    pub fn current() -> Pool {
-        Pool::new(current_threads())
+    let threads = current_threads();
+    let chunks = (len / min_chunk.max(1)).clamp(1, threads * CHUNKS_PER_THREAD);
+    // What the splitter chose — the observable input to any
+    // `min_chunk` tuning. Boundaries are unaffected.
+    kpa_trace::record!("pool.chunks", chunks);
+    kpa_trace::record!("pool.chunk_size", len / chunks);
+    let slice = |k: usize| f(k * len / chunks..(k + 1) * len / chunks);
+    let workers = threads.min(chunks);
+    if workers == 1 {
+        // The serial fallback: no threads, no locks.
+        kpa_trace::count!("pool.serial_tasks", chunks as u64);
+        return (0..chunks).map(slice).collect();
     }
-
-    /// Enables seeded fault injection: workers draw their steal-victim
-    /// order (and their own pop end) from a per-worker deterministic
-    /// RNG, exploring execution orders a quiet machine would never
-    /// produce. Results must still be bit-identical — the unit and
-    /// differential tests run under several seeds to prove it.
-    #[must_use]
-    pub fn with_fault_seed(mut self, seed: u64) -> Pool {
-        self.fault_seed = Some(seed);
-        self
-    }
-
-    /// The worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Maps `f` over `0..len` with work stealing; results come back in
-    /// index order. One task per index — use this when each index is
-    /// already coarse (a whole computation tree, a whole class chunk).
-    pub fn par_map<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_indexed(len, &f)
-    }
-
-    /// Per-tree sweep: maps `f` over the tree indices `0..tree_count`.
-    /// In the dense point layout every tree is a disjoint word range,
-    /// so per-tree partial `PointSet`s touch disjoint bits (up to the
-    /// shared boundary words, which ordered union combines exactly).
-    /// Combine the returned partials **in tree-index order**.
-    pub fn par_map_trees<T, F>(&self, tree_count: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_indexed(tree_count, &f)
-    }
-
-    /// Splits `0..len` into [`Pool::chunk_count`] contiguous slices
-    /// with fixed boundaries and maps `f` over the slices; results come
-    /// back in slice order. This is the workhorse for sweeps over the
-    /// dense point index (or any flat list): single-tree systems still
-    /// parallelize because runs of one tree are themselves contiguous
-    /// index ranges.
-    ///
-    /// `min_chunk` bounds the splitting: no slice is smaller than it
-    /// (except the whole range), so tiny inputs run serially inline.
-    pub fn par_map_chunks<T, F>(&self, len: usize, min_chunk: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        let chunks = self.chunk_count(len, min_chunk);
-        if len > 0 {
-            // What the splitter actually chose — the observable input
-            // to any `min_chunk` tuning. Boundaries are unaffected.
-            kpa_trace::record!("pool.chunks", chunks);
-            kpa_trace::record!("pool.chunk_size", len / chunks.max(1));
-        }
-        let bound = move |k: usize| k * len / chunks.max(1);
-        self.run_indexed(chunks, &|k| f(bound(k)..bound(k + 1)))
-    }
-
-    /// The number of slices [`Pool::par_map_chunks`] uses for an input
-    /// of `len` items: `len / min_chunk` clamped to `[1, threads · 4]`
-    /// (0 for an empty input). Fixed boundaries are what make partial
-    /// results well defined independently of scheduling.
-    #[must_use]
-    pub fn chunk_count(&self, len: usize, min_chunk: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        (len / min_chunk.max(1)).clamp(1, self.threads * CHUNKS_PER_THREAD)
-    }
-
-    /// Runs `a` and `b`, potentially in parallel, and returns both
-    /// results. `a` runs on the calling thread; `b` on a scoped worker
-    /// (inline when `threads == 1`). Panics propagate.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads <= 1 {
-            return (a(), b());
-        }
-        // Forward the submitter's request id so spans inside `b`
-        // stitch into the same trace tree (no-op while tracing is off).
-        let ambient = kpa_trace::enabled().then(kpa_trace::current_trace_id);
-        std::thread::scope(|scope| {
-            let hb = scope.spawn(move || {
-                let _req = ambient.map(kpa_trace::ambient_guard);
-                in_worker(b)
-            });
-            let ra = a();
-            let rb = match hb.join() {
-                Ok(rb) => rb,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (ra, rb)
+    let cursor = AtomicUsize::new(0);
+    // Marking workers makes nested calls inside a slice run serially.
+    let run = |w| {
+        with_local(&IN_WORKER, true, || {
+            claim_slices(w, workers, chunks, &cursor, &slice)
         })
-    }
-
-    /// Structured fork/join over heterogeneous tasks: `f` receives a
-    /// [`Scope`] and may [`Scope::spawn`] any number of `FnOnce()`
-    /// tasks borrowing from the enclosing stack. All spawned tasks have
-    /// run (with work stealing) by the time `scope` returns.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&mut Scope<'env>) -> R) -> R {
-        let mut s = Scope { tasks: Vec::new() };
-        let out = f(&mut s);
-        let tasks: Vec<Mutex<Option<Task<'env>>>> =
-            s.tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.run_indexed(tasks.len(), &|i| {
-            let task = lock(&tasks[i]).take().expect("each task runs exactly once");
-            task();
-        });
-        out
-    }
-
-    /// The scheduling core: executes one task per index of `0..len` on
-    /// `min(threads, len)` workers. Indices are dealt into per-worker
-    /// deques in contiguous blocks; idle workers steal from the back of
-    /// victims' deques. Results land in slots indexed by task id, so
-    /// the output order is the input order regardless of scheduling.
-    fn run_indexed<T, F>(&self, len: usize, f: &F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let workers = self.threads.min(len).max(1);
-        if workers == 1 || len <= 1 {
-            // The serial fallback: no threads, no locks, no stealing.
-            kpa_trace::count!("pool.serial_tasks", len as u64);
-            return (0..len).map(f).collect();
-        }
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w * len / workers..(w + 1) * len / workers).collect()))
-            .collect();
-        let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
-        let remaining = AtomicUsize::new(len);
-        let fault = self.fault_seed;
-        // Forward the submitting thread's request id into the spawned
-        // workers so their chunk spans carry it; worker 0 runs on the
-        // submitting thread and keeps its ambient id naturally.
-        let ambient = kpa_trace::enabled().then(kpa_trace::current_trace_id);
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let (queues, slots, remaining) = (&queues, &slots, &remaining);
+    };
+    // Spawned workers carry the caller's request id into their chunk
+    // spans; the caller runs as worker 0 and keeps its own.
+    let ambient = kpa_trace::enabled().then(kpa_trace::current_trace_id);
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|w| {
+                let run = &run;
                 scope.spawn(move || {
                     let _req = ambient.map(kpa_trace::ambient_guard);
-                    worker(w, queues, slots, remaining, f, fault);
-                });
-            }
-            worker(0, &queues, &slots, &remaining, f, fault);
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("scheduler ran every task")
+                    run(w)
+                })
             })
-            .collect()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Pool {
-        Pool::current()
-    }
-}
-
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Collects tasks spawned inside [`Pool::scope`].
-pub struct Scope<'env> {
-    tasks: Vec<Task<'env>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Registers a task; it runs (possibly on another worker) before
-    /// the enclosing [`Pool::scope`] call returns.
-    pub fn spawn(&mut self, f: impl FnOnce() + Send + 'env) {
-        self.tasks.push(Box::new(f));
-    }
-
-    /// The number of tasks spawned so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no task has been spawned yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope")
-            .field("tasks", &self.tasks.len())
-            .finish()
-    }
-}
-
-/// Locks a mutex, shrugging off poisoning (a poisoned queue or slot
-/// only ever carries plain data; the panic that poisoned it is
-/// propagated separately by the thread scope).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with the current thread marked as a pool worker, so nested
-/// parallel calls degrade to serial instead of oversubscribing.
-fn in_worker<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_WORKER.with(|c| c.set(self.0));
+            .collect();
+        let mut done = run(0);
+        for handle in handles {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
         }
-    }
-    let prev = IN_WORKER.with(|c| c.replace(true));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// One worker's loop: drain the own deque front-to-back, then steal
-/// from the back of victims' deques, until no task remains anywhere.
-fn worker<T, F>(
-    w: usize,
-    queues: &[Mutex<VecDeque<usize>>],
-    slots: &[Mutex<Option<T>>],
-    remaining: &AtomicUsize,
-    f: &F,
-    fault_seed: Option<u64>,
-) where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    /// Releases peers if this worker unwinds mid-task: without the
-    /// bailout they would spin on a `remaining` count that can no
-    /// longer reach zero. The scope then propagates the panic.
-    struct Bailout<'a>(&'a AtomicUsize);
-    impl Drop for Bailout<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(0, Ordering::Release);
-            }
-        }
-    }
-    in_worker(|| {
-        let _bailout = Bailout(remaining);
-        let mut rng = fault_seed.map(|s| {
-            // Distinct, deterministic stream per worker.
-            Splitmix(s ^ (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        });
-        let n = queues.len();
-        // Per-worker stats, accumulated locally (no atomics inside the
-        // loop) and flushed to the trace registry once at exit. The
-        // clock is only read while tracing is on.
-        let trace = kpa_trace::enabled();
-        let started = trace.then(std::time::Instant::now);
-        let (mut executed, mut stolen, mut busy_ns) = (0u64, 0u64, 0u64);
-        loop {
-            if remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let task = match pop_own(&queues[w], rng.as_mut()) {
-                Some(i) => Some(i),
-                None => {
-                    let victim = steal(w, n, queues, rng.as_mut());
-                    if victim.is_some() {
-                        stolen += 1;
-                    }
-                    victim
-                }
-            };
-            match task {
-                Some(i) => {
-                    let t0 = trace.then(std::time::Instant::now);
-                    let value = {
-                        // One span per executed task: the task-grain
-                        // record the chunking autotune reads, carrying
-                        // the forwarded request id.
-                        let _chunk = kpa_trace::span!("pool.chunk_ns");
-                        f(i)
-                    };
-                    if let Some(t0) = t0 {
-                        busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    executed += 1;
-                    *lock(&slots[i]) = Some(value);
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                }
-                None => std::thread::yield_now(),
-            }
-        }
-        if let Some(started) = started {
-            kpa_trace::count!("pool.tasks", executed);
-            kpa_trace::count!("pool.steals", stolen);
-            kpa_trace::record!("pool.busy_ns", busy_ns);
-            let total_ns = started.elapsed().as_nanos() as u64;
-            kpa_trace::record!("pool.idle_ns", total_ns.saturating_sub(busy_ns));
-        }
+        done
     });
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, partial)| partial).collect()
 }
 
-/// Pops the next task from the worker's own deque — normally the
-/// front (ascending index order); under fault injection, either end.
-fn pop_own(queue: &Mutex<VecDeque<usize>>, rng: Option<&mut Splitmix>) -> Option<usize> {
-    let mut q = lock(queue);
-    let from_back = match rng {
-        Some(r) => r.next() & 1 == 1,
-        None => false,
-    };
-    if from_back {
-        q.pop_back()
-    } else {
-        q.pop_front()
-    }
-}
-
-/// Steals one task from the back of some victim's deque. The victim
-/// scan order is the ring `w+1, w+2, …` — or, under fault injection, a
-/// freshly drawn random order each attempt.
-fn steal(
+/// One worker's loop: claim the next slice index from the shared
+/// cursor and run it, until the cursor passes the last slice. Returns
+/// the `(index, partial)` pairs this worker produced.
+fn claim_slices<T>(
     w: usize,
-    n: usize,
-    queues: &[Mutex<VecDeque<usize>>],
-    rng: Option<&mut Splitmix>,
-) -> Option<usize> {
-    let mut victims: Vec<usize> = (1..n).map(|k| (w + k) % n).collect();
-    if let Some(r) = rng {
-        // Fisher–Yates with the fault stream.
-        for i in (1..victims.len()).rev() {
-            let j = (r.next() % (i as u64 + 1)) as usize;
-            victims.swap(i, j);
+    workers: usize,
+    chunks: usize,
+    cursor: &AtomicUsize,
+    slice: &impl Fn(usize) -> T,
+) -> Vec<(usize, T)> {
+    // Per-worker stats, accumulated locally and flushed to the trace
+    // registry once at exit. The clock is only read while tracing is on.
+    let trace = kpa_trace::enabled();
+    let started = trace.then(std::time::Instant::now);
+    let (mut stolen, mut busy_ns) = (0u64, 0u64);
+    let mut done = Vec::new();
+    loop {
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        if k >= chunks {
+            break;
         }
-    }
-    for v in victims {
-        if let Some(task) = lock(&queues[v]).pop_back() {
-            return Some(task);
+        let t0 = trace.then(std::time::Instant::now);
+        let partial = {
+            // The slice-grain record any chunk-size tuning reads.
+            let _chunk = kpa_trace::span!("pool.chunk_ns");
+            slice(k)
+        };
+        if let Some(t0) = t0 {
+            busy_ns += t0.elapsed().as_nanos() as u64;
         }
+        // The home worker a contiguous deal (worker `v` owning slices
+        // `v·chunks/workers .. (v+1)·chunks/workers`) gives slice `k`.
+        if ((k + 1) * workers - 1) / chunks != w {
+            stolen += 1;
+        }
+        done.push((k, partial));
     }
-    None
+    if let Some(started) = started {
+        kpa_trace::count!("pool.tasks", done.len() as u64);
+        kpa_trace::count!("pool.steals", stolen);
+        kpa_trace::record!("pool.busy_ns", busy_ns);
+        let total_ns = started.elapsed().as_nanos() as u64;
+        kpa_trace::record!("pool.idle_ns", total_ns.saturating_sub(busy_ns));
+    }
+    done
 }
 
-/// The splitmix64 step — the same generator seeding the workspace's
-/// `Rng64`, reused here for fault-injection scheduling decisions.
-struct Splitmix(u64);
-
-impl Splitmix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+/// Runs `f` with the thread-local `key` set to `value`, restoring the
+/// previous value afterwards (also on panic).
+fn with_local<C: Copy, T>(key: &'static LocalKey<Cell<C>>, value: C, f: impl FnOnce() -> T) -> T {
+    struct Restore<C: Copy + 'static>(&'static LocalKey<Cell<C>>, C);
+    impl<C: Copy> Drop for Restore<C> {
+        fn drop(&mut self) {
+            self.0.with(|c| c.set(self.1));
+        }
     }
+    let _restore = Restore(key, key.with(|c| c.replace(value)));
+    f()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn serial_pool_is_inline() {
-        let pool = Pool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let out = pool.par_map(5, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-        // join with one thread runs both closures on this thread.
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn par_map_returns_results_in_index_order() {
-        let pool = Pool::new(4);
-        let out = pool.par_map(100, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+    fn serial_width_runs_inline() {
+        let caller = std::thread::current().id();
+        let out = with_threads(1, || {
+            par_map_chunks(100, 1, |r| {
+                assert_eq!(std::thread::current().id(), caller);
+                r.len()
+            })
+        });
+        assert_eq!(out, vec![25; 4]);
     }
 
     #[test]
     fn par_map_chunks_covers_the_range_exactly_once() {
         for threads in [1, 2, 3, 8] {
-            let pool = Pool::new(threads);
             for len in [0usize, 1, 7, 64, 1000] {
-                let chunks = pool.par_map_chunks(len, 8, |r| r.collect::<Vec<usize>>());
+                let chunks = with_threads(threads, || {
+                    par_map_chunks(len, 8, |r| r.collect::<Vec<usize>>())
+                });
                 let flat: Vec<usize> = chunks.into_iter().flatten().collect();
                 assert_eq!(
                     flat,
@@ -604,68 +280,46 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_are_fixed_and_ordered() {
-        let pool = Pool::new(4);
         // Non-commutative reduction (concatenation) must equal serial.
         let serial: String = (0..257).map(|i| format!("{i},")).collect();
-        let parallel: String = pool
-            .par_map_chunks(257, 16, |r| r.map(|i| format!("{i},")).collect::<String>())
-            .concat();
+        let parallel: String = with_threads(4, || {
+            par_map_chunks(257, 16, |r| r.map(|i| format!("{i},")).collect::<String>())
+        })
+        .concat();
         assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn fault_injection_preserves_results() {
-        let serial = Pool::new(1).par_map(200, |i| i as u64 * 3 + 1);
-        for seed in 0..16u64 {
-            let pool = Pool::new(4).with_fault_seed(seed);
-            assert_eq!(
-                pool.par_map(200, |i| i as u64 * 3 + 1),
-                serial,
-                "seed {seed}"
-            );
-            let chunked: Vec<u64> = pool
-                .par_map_chunks(200, 8, |r| r.map(|i| i as u64 * 3 + 1).collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(chunked, serial, "chunked, seed {seed}");
+    fn completion_order_cannot_reach_the_result() {
+        for threads in [2, 3, 4, 7] {
+            // One index per slice, as many slices as the width allows.
+            let chunks = threads * CHUNKS_PER_THREAD;
+            let serial: String = (0..chunks).map(|i| format!("{i},")).collect();
+            let parallel = with_threads(threads, || {
+                par_map_chunks(chunks, 1, |r| {
+                    // Slice k sleeps (chunks − k)·200 µs, so later
+                    // slices finish first.
+                    let wait = 200 * (chunks - r.start) as u64;
+                    std::thread::sleep(Duration::from_micros(wait));
+                    r.map(|i| format!("{i},")).collect::<String>()
+                })
+            })
+            .concat();
+            assert_eq!(parallel, serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn join_runs_both_sides() {
-        let pool = Pool::new(2);
-        let xs: Vec<u32> = (0..1000).collect();
-        let (a, b) = pool.join(|| xs.iter().sum::<u32>(), || xs.len());
-        assert_eq!(a, 499_500);
-        assert_eq!(b, 1000);
-    }
-
-    #[test]
-    fn scope_runs_every_task_before_returning() {
-        let pool = Pool::new(3);
-        let flags: Vec<AtomicUsize> = (0..20).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(|s| {
-            assert!(s.is_empty());
-            for f in &flags {
-                s.spawn(move || {
-                    f.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            assert_eq!(s.len(), 20);
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn nested_parallel_calls_run_serially() {
-        let pool = Pool::new(4);
-        let depths = pool.par_map(8, |_| {
-            // Inside a worker the ambient pool must be serial.
-            assert_eq!(current_threads(), 1);
-            Pool::current().threads()
+        let inner = with_threads(4, || {
+            par_map_chunks(8, 1, |_| {
+                // Inside a worker the ambient width must be serial.
+                assert_eq!(current_threads(), 1);
+                par_map_chunks(100, 1, |r| r.len()).len()
+            })
         });
-        assert!(depths.iter().all(|&d| d == 1));
+        // A serial nested call makes at most 1·4 slices.
+        assert!(inner.iter().all(|&n| n == 4), "{inner:?}");
     }
 
     #[test]
@@ -677,56 +331,40 @@ mod tests {
         });
         assert_eq!(inner, 2);
         assert_eq!(current_threads(), ambient);
-        // Zero is clamped to one.
+        // Zero is clamped to one, and widths above the cap to the cap.
         assert_eq!(with_threads(0, current_threads), 1);
-    }
-
-    #[test]
-    fn default_pool_is_the_ambient_pool() {
-        with_threads(2, || {
-            assert_eq!(Pool::default(), Pool::current());
-            assert_eq!(Pool::default().threads(), 2);
-        });
+        assert_eq!(with_threads(MAX_THREADS + 9, current_threads), MAX_THREADS);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let pool = Pool::new(4);
-        assert!(pool.par_map(0, |i| i).is_empty());
-        assert!(pool.par_map_chunks(0, 8, |r| r.len()).is_empty());
-        assert_eq!(pool.chunk_count(0, 8), 0);
+        assert!(with_threads(4, || par_map_chunks(0, 8, |r| r.len())).is_empty());
     }
 
     #[test]
     fn chunk_count_respects_bounds() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.chunk_count(7, 8), 1); // below min_chunk: one slice
-        assert_eq!(pool.chunk_count(1_000_000, 1), 16); // capped at 4/worker
-        assert!(pool.chunk_count(100, 8) <= 16);
+        let count = |threads, len, min_chunk| {
+            with_threads(threads, || par_map_chunks(len, min_chunk, |r| r.len())).len()
+        };
+        assert_eq!(count(4, 7, 8), 1); // below min_chunk: one slice
+        assert_eq!(count(4, 1_000_000, 1), 16); // capped at 4/worker
+        assert_eq!(count(4, 100, 8), 12);
         // min_chunk of zero is treated as one.
-        assert_eq!(pool.chunk_count(3, 0), 3.clamp(1, 16));
+        assert_eq!(count(4, 3, 0), 3);
     }
 
     #[test]
-    fn worker_panics_propagate_and_release_peers() {
-        let pool = Pool::new(4);
-        let result = std::panic::catch_unwind(|| {
-            pool.par_map(64, |i| {
-                if i == 13 {
-                    panic!("injected failure");
-                }
-                i
-            })
-        });
-        assert!(result.is_err(), "panic must propagate, not hang");
-    }
-
-    #[test]
-    fn stress_many_small_tasks_under_faults() {
-        for seed in [1u64, 42, 0xDEAD_BEEF] {
-            let pool = Pool::new(8).with_fault_seed(seed);
-            let out = pool.par_map(3000, |i| i);
-            assert_eq!(out, (0..3000).collect::<Vec<_>>());
+    fn slice_panics_propagate() {
+        for threads in [1, 4] {
+            let result = std::panic::catch_unwind(|| {
+                with_threads(threads, || {
+                    par_map_chunks(64, 1, |r| {
+                        assert!(!r.contains(&13), "injected failure");
+                        r.len()
+                    })
+                })
+            });
+            assert!(result.is_err(), "threads={threads}: panic must propagate");
         }
     }
 }

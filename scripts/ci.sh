@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: the checks every PR must pass, runnable fully offline.
 #
-#   ./scripts/ci.sh          # fmt + build + test + bench gate + clippy + docs
+#   ./scripts/ci.sh          # fmt + line count + build + test + bench gate + clippy + docs
 #   FUZZ=1 ./scripts/ci.sh   # additionally run the widened property sweeps
 #
 # FUZZ=1 multiplies the sharded property-test case counts ~5x
@@ -16,6 +16,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+# Informational, no threshold: the non-test line count each change
+# reports as its net delta (run on both trees and subtract).
+echo "==> scripts/loc.sh (non-test lines per crate)"
+./scripts/loc.sh
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -225,7 +225,7 @@ fn run_shared(
     }
     println!(
         "shared:     {clients} threads × 1 artifact agreed with the serial model \
-         (sat cache: {} formulas, knows memo: {}, Pr memo: {}, plans: {})",
+         (sat cache: {} formulas, subterm memo: {}, Pr memo: {}, plans: {})",
         artifact.sat_cache_len(),
         artifact.subterm_memo_len(),
         artifact.pr_memo_len(),

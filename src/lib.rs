@@ -13,8 +13,8 @@
 //! * [`betting`] — the betting game and safe bets (Theorems 7–9);
 //! * [`asynchrony`] — type-3 adversaries: cuts and cut classes;
 //! * [`protocols`] — every system the paper analyzes;
-//! * [`pool`] — the deterministic work-stealing thread pool behind the
-//!   per-tree sweeps (`KPA_THREADS` selects the width);
+//! * [`pool`] — the deterministic parallel slice sweep behind the
+//!   engine's point and class scans (`KPA_THREADS` selects the width);
 //! * [`trace`] — zero-dep counters/histograms/spans across every layer
 //!   (`KPA_TRACE=1` or `trace::set_enabled(true)` switches them on;
 //!   off, they are observationally invisible no-ops);

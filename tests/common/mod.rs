@@ -33,6 +33,19 @@ pub fn case_seed(name: &str, case: usize) -> u64 {
     stream_tag(name) ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// Pool widths the jitter tests sweep: the smallest parallel width,
+/// odd widths that leave uneven slices, and more workers than cores.
+pub const JITTER_WIDTHS: [usize; 4] = [2, 3, 4, 7];
+
+/// Sleeps a seeded 0–199 µs at the start of the pool slice beginning at
+/// index `start`, so each `seed` drives slices to finish in a different
+/// order. Used by the tests that prove completion order never reaches a
+/// result.
+pub fn jitter(seed: u64, start: usize) {
+    let mut rng = Rng64::new(seed ^ (start as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    std::thread::sleep(std::time::Duration::from_micros(rng.below(200)));
+}
+
 /// Runs `body` for [`CASES`] seeded cases, one private RNG stream each.
 pub fn cases(name: &str, mut body: impl FnMut(&mut Rng64)) {
     for case in 0..CASES {

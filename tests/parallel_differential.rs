@@ -4,12 +4,12 @@
 //! `Model::sat`, the betting safety decisions, and the asynchrony cut
 //! bounds — is *bit-identical* to its serial evaluation at any thread
 //! count: chunk boundaries are a pure function of `(len, threads)`,
-//! work stealing only changes which worker runs a chunk, and partials
-//! recombine in chunk order. These tests hold the engine to that
-//! contract on the same random sync/async systems the property suites
-//! sweep, at `threads = 1`, `2`, and the machine's available
+//! the shared slice cursor only changes which worker runs a chunk, and
+//! partials recombine in chunk order. These tests hold the engine to
+//! that contract on the same random sync/async systems the property
+//! suites sweep, at `threads = 1`, `2`, and the machine's available
 //! parallelism, and additionally shake the pool's own reductions with
-//! seeded fault injection that randomizes steal order.
+//! seeded per-slice sleeps that scramble completion order.
 //!
 //! The seed-pinning test at the bottom guards the sharded case driver:
 //! `cases_sharded` must hand every case the exact RNG seed `cases`
@@ -17,13 +17,16 @@
 
 mod common;
 
-use common::{arb_async_spec, arb_sync_spec, build, case_seed, cases, cases_sharded, prop_names};
+use common::{
+    arb_async_spec, arb_sync_spec, build, case_seed, cases, cases_sharded, jitter, prop_names,
+    JITTER_WIDTHS,
+};
 use kpa::assign::{Assignment, ProbAssignment};
 use kpa::asynchrony::{prop10_holds, region_for, CutClass};
 use kpa::betting::{BetRule, BettingGame};
 use kpa::logic::{Formula, Model, ModelArtifact, PointSet};
 use kpa::measure::{Rat, Rng64};
-use kpa::pool::{with_threads, Pool};
+use kpa::pool::{par_map_chunks, with_threads};
 use kpa::system::{AgentId, System};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -186,31 +189,38 @@ fn cut_bounds_thread_invariance() {
     });
 }
 
-/// Fault injection: pools with randomized steal order and pop side must
-/// still produce index-ordered results for non-commutative reductions,
-/// at several widths and seeds — the integration-level twin of the pool
-/// crate's own fault-mode unit tests.
+/// Fault injection: seeded per-slice sleeps scramble which slice
+/// finishes first, yet non-commutative reductions must still come back
+/// in index order, at several widths and seeds — the integration-level
+/// twin of the pool crate's own completion-order unit test.
 #[test]
 fn fault_injected_pools_reduce_deterministically() {
     let expected: Vec<String> = (0..97).map(|i| format!("#{i}")).collect();
     let concat_expected: String = expected.concat();
-    for threads in [2usize, 3, 4, 7] {
+    for threads in JITTER_WIDTHS {
         for seed in 0..12u64 {
-            let pool = Pool::new(threads).with_fault_seed(seed);
-            let mapped = pool.par_map(97, |i| format!("#{i}"));
+            let mapped: Vec<String> = with_threads(threads, || {
+                par_map_chunks(97, 1, |range| {
+                    jitter(seed, range.start);
+                    range.map(|i| format!("#{i}")).collect::<Vec<_>>()
+                })
+            })
+            .concat();
             assert_eq!(mapped, expected, "threads={threads} seed={seed}");
-            let chunked: String = pool
-                .par_map_chunks(97, 8, |range| {
+            let chunked: String = with_threads(threads, || {
+                par_map_chunks(97, 8, |range| {
+                    jitter(seed, range.start);
                     range.map(|i| format!("#{i}")).collect::<String>()
                 })
-                .concat();
+            })
+            .concat();
             assert_eq!(chunked, concat_expected, "threads={threads} seed={seed}");
         }
     }
 }
 
-/// Fault-injected pools leave the model checker bit-identical too: the
-/// steal schedule must never be observable in a satisfaction set.
+/// Jittered slice schedules leave the model checker bit-identical too:
+/// completion order must never be observable in a satisfaction set.
 #[test]
 fn fault_injected_model_checking_is_deterministic() {
     let mut rng = Rng64::new(case_seed("sat_thread_invariance", 0));
@@ -225,33 +235,37 @@ fn fault_injected_model_checking_is_deterministic() {
     let baseline = with_threads(1, || {
         (*Model::new(&post).sat(&f).expect("model checks")).clone()
     });
-    // The public sweeps consult `Pool::current()`, which carries no
-    // fault seed — so drive the same per-class scan through a faulty
-    // pool by hand and compare against the engine's answer.
+    // The engine's sweeps take no jitter, so drive the same per-class
+    // scan through a jittered pool by hand and compare against the
+    // engine's answer.
     let sat = with_threads(1, || {
         (*Model::new(&post).sat(&body).expect("model checks")).clone()
     });
     let classes: Vec<&PointSet> = sys.local_classes(AgentId(0)).map(|(_, cl)| cl).collect();
-    for seed in 0..8u64 {
-        let pool = Pool::new(4).with_fault_seed(seed);
-        let partials = pool.par_map_chunks(classes.len(), 1, |range| {
+    for threads in JITTER_WIDTHS {
+        for seed in 0..8u64 {
+            let partials = with_threads(threads, || {
+                par_map_chunks(classes.len(), 1, |range| {
+                    jitter(seed, range.start);
+                    let mut acc = sys.empty_points();
+                    for class in &classes[range] {
+                        if class.is_subset(&sat) {
+                            acc.union_with(class);
+                        }
+                    }
+                    acc
+                })
+            });
             let mut acc = sys.empty_points();
-            for class in &classes[range] {
-                if class.is_subset(&sat) {
-                    acc.union_with(class);
-                }
+            for partial in partials {
+                acc.union_with(&partial);
             }
-            acc
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial);
+            assert_eq!(
+                baseline.as_words(),
+                acc.as_words(),
+                "jittered schedule (threads={threads} seed={seed}) leaked into the satisfaction set"
+            );
         }
-        assert_eq!(
-            baseline.as_words(),
-            acc.as_words(),
-            "faulty steal schedule (seed={seed}) leaked into the satisfaction set"
-        );
     }
 }
 

@@ -7,8 +7,8 @@
 //! [`Model`] facade evaluation over the same system. These tests hold
 //! it to that promise on the paper's walkthrough systems and on random
 //! sync/async systems, at pool widths 1 and 4 inside every client
-//! thread, and under seeded pool fault injection that randomizes steal
-//! order.
+//! thread, and under seeded per-slice sleeps that scramble the pool's
+//! completion order.
 //!
 //! The client threads deliberately overlap: every thread evaluates the
 //! *same* formula family in a different order, so shard-map races
@@ -17,11 +17,13 @@
 
 mod common;
 
-use common::{arb_async_spec, arb_sync_spec, build, case_seed, cases, prop_names};
+use common::{
+    arb_async_spec, arb_sync_spec, build, case_seed, cases, jitter, prop_names, JITTER_WIDTHS,
+};
 use kpa::assign::{Assignment, ProbAssignment};
 use kpa::logic::{Formula, Model, ModelArtifact, PointSet};
 use kpa::measure::{rat, Rat, Rng64};
-use kpa::pool::{with_threads, Pool};
+use kpa::pool::{par_map_chunks, with_threads};
 use kpa::protocols::{async_coin_tosses, ca1, secret_coin};
 use kpa::system::{AgentId, System};
 use std::sync::Arc;
@@ -203,10 +205,10 @@ fn random_systems_match_the_serial_facade() {
     });
 }
 
-/// Fault-injected pools must stay invisible through the artifact too:
-/// a faulty steal schedule (hand-driven, since `Pool::current()` never
-/// carries a fault seed) over the artifact's own satisfaction sets
-/// reproduces the context's answer word for word.
+/// Jittered pool schedules must stay invisible through the artifact
+/// too: seeded per-slice sleeps (hand-driven, since the engine's sweeps
+/// take no jitter) over the artifact's own satisfaction sets reproduce
+/// the context's answer word for word.
 #[test]
 fn fault_injected_artifact_scans_are_deterministic() {
     let mut rng = Rng64::new(case_seed("shared_artifact_faults", 0));
@@ -223,25 +225,29 @@ fn fault_injected_artifact_scans_are_deterministic() {
     let baseline = with_threads(1, || (*ctx.sat(&f).expect("model checks")).clone());
     let sat = with_threads(1, || (*ctx.sat(&body).expect("model checks")).clone());
     let classes: Vec<&PointSet> = sys.local_classes(AgentId(0)).map(|(_, cl)| cl).collect();
-    for seed in 0..8u64 {
-        let pool = Pool::new(4).with_fault_seed(seed);
-        let partials = pool.par_map_chunks(classes.len(), 1, |range| {
+    for threads in JITTER_WIDTHS {
+        for seed in 0..8u64 {
+            let partials = with_threads(threads, || {
+                par_map_chunks(classes.len(), 1, |range| {
+                    jitter(seed, range.start);
+                    let mut acc = sys.empty_points();
+                    for class in &classes[range] {
+                        if class.is_subset(&sat) {
+                            acc.union_with(class);
+                        }
+                    }
+                    acc
+                })
+            });
             let mut acc = sys.empty_points();
-            for class in &classes[range] {
-                if class.is_subset(&sat) {
-                    acc.union_with(class);
-                }
+            for partial in partials {
+                acc.union_with(&partial);
             }
-            acc
-        });
-        let mut acc = sys.empty_points();
-        for partial in partials {
-            acc.union_with(&partial);
+            assert_eq!(
+                baseline.as_words(),
+                acc.as_words(),
+                "jittered schedule (threads={threads} seed={seed}) leaked through the artifact"
+            );
         }
-        assert_eq!(
-            baseline.as_words(),
-            acc.as_words(),
-            "faulty steal schedule (seed={seed}) leaked through the artifact"
-        );
     }
 }

@@ -245,6 +245,18 @@ fn tracing_is_observationally_invisible() {
             .any(|r| r.site == "pool.chunk_ns"),
         "the 4-worker run must record chunk spans from pool workers"
     );
+    // Every slice is accounted once: run by a parallel worker or on the
+    // serial path, never both, never dropped.
+    let slices = parallel_report.histograms["pool.chunks"].sum;
+    assert_eq!(
+        parallel_report.counter("pool.tasks") + parallel_report.counter("pool.serial_tasks"),
+        slices,
+        "pool.tasks + pool.serial_tasks must equal the slices pool.chunks recorded"
+    );
+    assert!(
+        parallel_report.counter("pool.steals") <= parallel_report.counter("pool.tasks"),
+        "a steal is a task run away from home, so steals cannot exceed tasks"
+    );
 
     kpa::trace::set_enabled(false);
     let resident = snapshot_span_records().0.len();
