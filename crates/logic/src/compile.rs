@@ -71,12 +71,11 @@ pub(crate) enum Term {
     Lit(PointSet),
 }
 
-/// The append-only intern table: `terms[id] = term` with a reverse
-/// index for dedup. The lock is held only while interning (compile
-/// time); evaluation never touches it.
+/// The append-only intern table: each distinct term maps to its id,
+/// and ids are allocated densely in interning order. The lock is held
+/// only while interning (compile time); evaluation never touches it.
 #[derive(Debug, Default)]
 struct ArenaInner {
-    terms: Vec<Term>,
     index: HashMap<Term, TermId>,
 }
 
@@ -87,8 +86,7 @@ impl ArenaInner {
         if let Some(&id) = self.index.get(&term) {
             return (id, false);
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("arena outgrew u32 ids"));
-        self.terms.push(term.clone());
+        let id = TermId(u32::try_from(self.index.len()).expect("arena outgrew u32 ids"));
         self.index.insert(term, id);
         (id, true)
     }
@@ -128,7 +126,7 @@ impl FormulaArena {
     /// How many distinct subterms have been interned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("arena lock").terms.len()
+        self.inner.lock().expect("arena lock").index.len()
     }
 
     /// Whether no term has been interned yet.

@@ -10,9 +10,9 @@
 //! complete line it has), but the tests want strict request/response
 //! pairing to compare against serial evaluation.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::catalog::SystemSpec;
 use crate::json::Value;
@@ -65,10 +65,8 @@ impl From<std::io::Error> for ClientError {
 /// automatically and checks that the reply echoes it.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
-    acc: Vec<u8>,
+    reader: BufReader<TcpStream>,
     next_id: i64,
-    read_deadline: Duration,
 }
 
 impl Client {
@@ -81,24 +79,24 @@ impl Client {
         Client::connect_with_deadline(addr, Duration::from_secs(30))
     }
 
-    /// Connects with an explicit per-reply deadline (tests reading
-    /// "no reply should come" use a short one).
+    /// Connects with an explicit reply deadline (tests reading "no
+    /// reply should come" use a short one). The deadline is the socket
+    /// read timeout: it bounds each wait for reply bytes.
     ///
     /// # Errors
     ///
-    /// Propagates connect/configure I/O errors.
+    /// Propagates connect/configure I/O errors (a zero deadline is
+    /// `InvalidInput`).
     pub fn connect_with_deadline(
         addr: impl ToSocketAddrs,
         deadline: Duration,
     ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(25)))?;
+        stream.set_read_timeout(Some(deadline))?;
         Ok(Client {
-            stream,
-            acc: Vec::new(),
+            reader: BufReader::new(stream),
             next_id: 1,
-            read_deadline: deadline,
         })
     }
 
@@ -109,8 +107,9 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send_raw(&mut self, line: &[u8]) -> Result<(), ClientError> {
-        self.stream.write_all(line)?;
-        self.stream.write_all(b"\n")?;
+        let stream = self.reader.get_mut();
+        stream.write_all(line)?;
+        stream.write_all(b"\n")?;
         Ok(())
     }
 
@@ -121,7 +120,7 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send_unterminated(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        self.stream.write_all(bytes)?;
+        self.reader.get_mut().write_all(bytes)?;
         Ok(())
     }
 
@@ -132,33 +131,24 @@ impl Client {
     /// `Io` on timeout/EOF, `Malformed` when the line is not a JSON
     /// object.
     pub fn recv_frame(&mut self) -> Result<Value, ClientError> {
-        let start = Instant::now();
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(pos) = self.acc.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.acc.drain(..=pos).collect();
-                let text = std::str::from_utf8(&line[..pos])
+        let mut line = Vec::new();
+        match self.reader.read_until(b'\n', &mut line) {
+            Ok(_) if line.last() == Some(&b'\n') => {
+                let text = std::str::from_utf8(&line[..line.len() - 1])
                     .map_err(|_| ClientError::Malformed("reply is not UTF-8".into()))?;
-                return crate::json::parse(text).map_err(|e| ClientError::Malformed(e.to_string()));
+                crate::json::parse(text).map_err(|e| ClientError::Malformed(e.to_string()))
             }
-            if start.elapsed() > self.read_deadline {
-                return Err(ClientError::Io(std::io::Error::new(
+            Ok(_) => Err(ClientError::Io(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ))),
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                Err(ClientError::Io(std::io::Error::new(
                     ErrorKind::TimedOut,
                     "no reply within deadline",
-                )));
+                )))
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(ClientError::Io(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )))
-                }
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ClientError::Io(e)),
-            }
+            Err(e) => Err(ClientError::Io(e)),
         }
     }
 

@@ -3,38 +3,37 @@
 //!
 //! # Threading model
 //!
-//! One nonblocking accept loop (polled, so shutdown never blocks on
-//! `accept`) plus one thread per live connection. Connections are
-//! bounded by [`ServeConfig::max_conns`]; a connection over the limit
-//! receives a fatal `server_busy` frame and is closed immediately,
-//! rather than queueing invisibly.
+//! One thread blocked in `accept` plus one thread per live connection,
+//! all on blocking std I/O. Connections are bounded by
+//! [`ServeConfig::max_conns`]; a connection over the limit receives a
+//! fatal `server_busy` frame and is closed, rather than queueing
+//! invisibly.
 //!
 //! # Framing
 //!
-//! Requests are read with a bounded incremental scanner — bytes are
-//! pulled in small chunks and scanned for `\n`, so a client that
-//! streams an endless line is cut off at [`ServeConfig::max_frame`]
-//! with a fatal `frame_too_long` frame instead of growing the buffer
-//! without bound. Several complete lines arriving in one read are all
-//! processed, in order (pipelining is allowed). Each received frame is
-//! assigned a server-minted trace id, echoed as `trace_id` on its
-//! reply and installed as the handling thread's ambient span id while
-//! `KPA_TRACE=1` — the hook that stitches kernel spans into
-//! per-request trees.
+//! Requests are read with `read_until` through a `BufReader` capped at
+//! [`ServeConfig::max_frame`]` + 1` bytes per line, so an endless line
+//! is cut off with a fatal `frame_too_long` frame before it is buffered
+//! past that bound. Pipelined lines are processed in order. Each frame
+//! gets a server-minted trace id, echoed as `trace_id` on its reply and
+//! installed as the thread's ambient span id while `KPA_TRACE=1` — the
+//! hook that stitches kernel spans into per-request trees.
 //!
 //! # Timeouts and shutdown
 //!
-//! Sockets are read with a short poll timeout; each wakeup checks the
-//! idle clock (fatal `idle_timeout` after [`ServeConfig::idle_timeout`]
-//! of silence) and the server's stop flag (fatal `shutting_down`).
-//! [`Server::shutdown`] flips the flag, joins the accept loop, then
-//! joins every connection thread — so when it returns, no server
-//! thread is running and every client has seen either its reply or a
-//! structured goodbye.
+//! The socket read timeout is [`ServeConfig::idle_timeout`]: a read
+//! that times out reaps the connection with a fatal `idle_timeout`
+//! frame. [`Server::shutdown`] (also run on drop) sets the stop flag,
+//! wakes the blocked `accept` with one loopback connect, and joins the
+//! acceptor. It then shuts down the read half of every registered
+//! socket, so each blocked read returns, the thread sends a fatal
+//! `shutting_down` frame on the open write half, and is joined. When
+//! `shutdown` returns no server thread is running, and every client has
+//! seen either its reply or a structured goodbye.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,16 +51,15 @@ pub struct ServeConfig {
     /// Maximum simultaneous connections; the next one is refused with
     /// `server_busy`.
     pub max_conns: usize,
-    /// Maximum request-line length in bytes (fatal `frame_too_long`
-    /// beyond it).
+    /// Maximum request-line length in bytes, excluding the `\n`: a
+    /// longer line gets a fatal `frame_too_long`, however its bytes
+    /// arrive.
     pub max_frame: usize,
     /// Maximum items in one `query` batch.
     pub max_batch: usize,
     /// Idle time after which a silent connection is reaped with
-    /// `idle_timeout`.
+    /// `idle_timeout` (the socket read timeout; must be nonzero).
     pub idle_timeout: Duration,
-    /// Poll granularity for reads, idle checks, and shutdown checks.
-    pub poll: Duration,
 }
 
 impl Default for ServeConfig {
@@ -72,22 +70,23 @@ impl Default for ServeConfig {
             max_frame: 1 << 20,
             max_batch: 1024,
             idle_timeout: Duration::from_secs(300),
-            poll: Duration::from_millis(25),
         }
     }
 }
 
+/// Live connection threads, each with a clone of its socket so
+/// shutdown can wake a blocked read.
+type Registry = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
 /// A running server: owns the accept loop and every connection
-/// thread. Dropping without [`Server::shutdown`] detaches the threads
-/// (they exit on the stop flag once something wakes them); tests and
-/// the binary always call `shutdown`.
+/// thread. Dropping it is [`Server::shutdown`].
 #[derive(Debug)]
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<SharedState>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Registry,
 }
 
 impl Server {
@@ -95,24 +94,28 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind/configuration I/O errors.
+    /// `InvalidInput` when `idle_timeout` is zero; otherwise propagates
+    /// bind I/O errors.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
+        if config.idle_timeout.is_zero() {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "idle_timeout must be nonzero",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(SharedState::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let active = Arc::new(AtomicUsize::new(0));
+        let conns = Registry::default();
 
         let accept = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let config = config.clone();
             std::thread::Builder::new()
                 .name("kpa-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &config, &shared, &stop, &conns, &active))
+                .spawn(move || accept_loop(&listener, &config, &shared, &stop, &conns))
                 .expect("spawn accept loop")
         };
 
@@ -143,13 +146,13 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            // Wake the blocked accept; the loop sees the flag and returns.
+            let _ = TcpStream::connect(self.local_addr);
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self.conns.lock().expect("conns");
-            guard.drain(..).collect()
-        };
-        for h in handles {
+        let conns = std::mem::take(&mut *self.conns.lock().expect("conns"));
+        for (h, stream) in conns {
+            let _ = stream.shutdown(Shutdown::Read);
             let _ = h.join();
         }
     }
@@ -157,10 +160,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -169,42 +169,44 @@ fn accept_loop(
     config: &ServeConfig,
     shared: &Arc<SharedState>,
     stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    active: &Arc<AtomicUsize>,
+    conns: &Registry,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if active.load(Ordering::SeqCst) >= config.max_conns {
-                    shared.proc().counter("proc.conns_refused").add(1);
-                    refuse(stream);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                shared.proc().counter("proc.conns_opened").add(1);
-                let shared = Arc::clone(shared);
-                let stop = Arc::clone(stop);
-                let active = Arc::clone(active);
-                let config = config.clone();
-                let handle = std::thread::Builder::new()
-                    .name("kpa-serve-conn".to_string())
-                    .spawn(move || {
-                        serve_connection(stream, &config, &shared, &stop);
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .expect("spawn connection thread");
-                let mut guard = conns.lock().expect("conns");
-                // Reap finished threads so the handle list stays
-                // proportional to live connections, not history.
-                guard.retain(|h| !h.is_finished());
-                guard.push(handle);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        let mut live = conns.lock().expect("conns");
+        // Reap finished threads so the registry counts live
+        // connections, not history.
+        live.retain(|(h, _)| !h.is_finished());
+        if live.len() >= config.max_conns {
+            shared.proc().counter("proc.conns_refused").add(1);
+            refuse(stream);
+            continue;
+        }
+        let Ok(registered) = stream.try_clone() else {
+            continue;
+        };
+        shared.proc().counter("proc.conns_opened").add(1);
+        let shared = Arc::clone(shared);
+        let stop = Arc::clone(stop);
+        let config = config.clone();
+        let handle = std::thread::Builder::new()
+            .name("kpa-serve-conn".to_string())
+            .spawn(move || {
+                serve_connection(&stream, &config, &shared, &stop);
+                // The registry's clone keeps the socket open, so close
+                // it explicitly: the peer must see EOF after `bye` or a
+                // fatal frame.
+                let _ = stream.shutdown(Shutdown::Both);
+            })
+            .expect("spawn connection thread");
+        live.push((handle, registered));
     }
 }
 
@@ -217,19 +219,19 @@ fn refuse(mut stream: TcpStream) {
 }
 
 /// Sends one frame; `false` means the peer is gone.
-fn send(stream: &mut TcpStream, frame: &json::Value) -> bool {
+fn send(mut stream: &TcpStream, frame: &json::Value) -> bool {
     let mut line = frame.to_json();
     line.push('\n');
     stream.write_all(line.as_bytes()).is_ok()
 }
 
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: &TcpStream,
     config: &ServeConfig,
     shared: &Arc<SharedState>,
     stop: &Arc<AtomicBool>,
 ) {
-    if stream.set_read_timeout(Some(config.poll)).is_err() {
+    if stream.set_read_timeout(Some(config.idle_timeout)).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
@@ -239,64 +241,54 @@ fn serve_connection(
     let proc_frame_ns = shared.proc().histogram("proc.frame_ns");
     let proc_frame_win = shared.proc().rolling("proc.frame_ns");
 
-    let mut acc: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut last_activity = Instant::now();
-
+    let mut reader = BufReader::new(stream);
+    let mut line: Vec<u8> = Vec::new();
     loop {
+        line.clear();
+        let read = (&mut reader)
+            .take(config.max_frame as u64 + 1)
+            .read_until(b'\n', &mut line);
         if stop.load(Ordering::SeqCst) {
             let e = ProtoError::fatal(codes::SHUTTING_DOWN, "server is shutting down");
-            let _ = send(&mut stream, &e.frame(None));
+            let _ = send(stream, &e.frame(None));
             return;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed (possibly mid-batch; nothing to do)
-            Ok(n) => {
-                last_activity = Instant::now();
-                acc.extend_from_slice(&chunk[..n]);
-                // Handle every complete line in the buffer (pipelining).
-                while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = acc.drain(..=pos).collect();
-                    // Every frame gets a server-minted trace id: it is
-                    // echoed on the reply for correlation, and (while
-                    // KPA_TRACE=1) installed as the thread's ambient
-                    // id so every span under this frame stitches into
-                    // one request tree.
-                    let trace_id = kpa_trace::next_trace_id();
-                    let _req = kpa_trace::ambient_guard(trace_id);
-                    let started = Instant::now();
-                    let done =
-                        handle_line(&line[..pos], &mut stream, &mut session, config, trace_id);
-                    let ns = started.elapsed().as_nanos() as u64;
-                    frame_ns.record(ns);
-                    frame_win.record(ns);
-                    proc_frame_ns.record(ns);
-                    proc_frame_win.record(ns);
-                    if done {
-                        return;
-                    }
-                }
-                if acc.len() > config.max_frame {
-                    let e = ProtoError::fatal(
-                        codes::FRAME_TOO_LONG,
-                        format!(
-                            "request line exceeds {} bytes without a newline",
-                            config.max_frame
-                        ),
-                    );
-                    let _ = send(&mut stream, &e.frame(None));
+        match read {
+            Ok(_) if line.last() == Some(&b'\n') => {
+                // The frame's trace id is echoed on the reply and is the
+                // ambient span id for everything evaluated under it.
+                let trace_id = kpa_trace::next_trace_id();
+                let _req = kpa_trace::ambient_guard(trace_id);
+                let started = Instant::now();
+                let done = handle_line(&line, stream, &mut session, config, trace_id);
+                let ns = started.elapsed().as_nanos() as u64;
+                frame_ns.record(ns);
+                frame_win.record(ns);
+                proc_frame_ns.record(ns);
+                proc_frame_win.record(ns);
+                if done {
                     return;
                 }
             }
+            Ok(_) if line.len() > config.max_frame => {
+                let e = ProtoError::fatal(
+                    codes::FRAME_TOO_LONG,
+                    format!(
+                        "request line exceeds {} bytes without a newline",
+                        config.max_frame
+                    ),
+                );
+                let _ = send(stream, &e.frame(None));
+                return;
+            }
+            // Peer closed, between frames or mid-line (nothing to answer).
+            Ok(_) => return,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_activity.elapsed() >= config.idle_timeout {
-                    shared.proc().counter("proc.idle_reaped").add(1);
-                    let e = ProtoError::fatal(codes::IDLE_TIMEOUT, "connection idle too long");
-                    let _ = send(&mut stream, &e.frame(None));
-                    return;
-                }
+                shared.proc().counter("proc.idle_reaped").add(1);
+                let e = ProtoError::fatal(codes::IDLE_TIMEOUT, "connection idle too long");
+                let _ = send(stream, &e.frame(None));
+                return;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }
@@ -313,20 +305,19 @@ fn tag(mut frame: json::Value, trace_id: kpa_trace::TraceId) -> json::Value {
     frame
 }
 
-/// Processes one request line; `true` means the connection is done.
+/// Processes one request line (with its `\n`); `true` means the
+/// connection is done.
 fn handle_line(
     raw: &[u8],
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     session: &mut Session,
     config: &ServeConfig,
     trace_id: kpa_trace::TraceId,
 ) -> bool {
-    // Tolerate CRLF clients and skip blank keepalive lines.
-    let raw = if raw.last() == Some(&b'\r') {
-        &raw[..raw.len() - 1]
-    } else {
-        raw
-    };
+    // Strip the newline, tolerate CRLF clients, and skip blank
+    // keepalive lines.
+    let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
     if raw.is_empty() {
         return false;
     }

@@ -10,14 +10,14 @@
 //!
 //! # Artifact sharing
 //!
-//! Models are expensive to build and cheap to share: `load` resolves
-//! its `(system, assignment)` pair to a canonical key and consults a
-//! process-wide [`ShardMap`] of [`ModelArtifact`]s. Two sessions
-//! pinning the same pair share one artifact — and therefore one set
-//! of warmed memo tables; the differential suite leans on this to
-//! check that memo sharing never changes answers. Artifacts are built
-//! *outside* the shard lock (first insert wins), matching the map's
-//! contract.
+//! Models are expensive to build and cheap to share: `load` forms a
+//! canonical key from its `(system, assignment)` request alone and
+//! consults a process-wide [`ShardMap`] of [`ModelArtifact`]s, so a
+//! cache hit builds nothing. Two sessions pinning the same pair share
+//! one artifact — and therefore one set of warmed memo tables; the
+//! differential suite leans on this to check that memo sharing never
+//! changes answers. On a miss the system is built *outside* the shard
+//! lock (first insert wins), matching the map's contract.
 //!
 //! # Batch semantics
 //!
@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kpa_assign::ShardMap;
+use kpa_assign::{Assignment, ShardMap};
 use kpa_logic::{parse_in, ModelArtifact};
 use kpa_measure::Rat;
 use kpa_system::{PointId, System, TreeId};
@@ -99,10 +99,12 @@ impl SharedState {
     /// Unknown catalog names, bad assignment specs, and evaluation
     /// failures while warming the all-points set, as strings.
     pub fn preload(&self, system: &str, assignment: &str) -> Result<String, String> {
-        let sys = catalog::build_system(system)?;
-        let assign = catalog::build_assignment(assignment, &sys)?;
         let key = format!("name:{system};assign:{assignment}");
-        let artifact = self.artifact(&key, sys, assign);
+        let artifact = self.artifact::<String>(&key, || {
+            let sys = catalog::build_system(system)?;
+            let assign = catalog::build_assignment(assignment, &sys)?;
+            Ok((sys, assign))
+        })?;
         artifact
             .ctx()
             .sat(&kpa_logic::Formula::True)
@@ -110,20 +112,22 @@ impl SharedState {
         Ok(key)
     }
 
-    /// Resolve-or-build an artifact for a canonical key.
-    fn artifact(
+    /// Resolves a canonical key to its cached artifact. `build` runs
+    /// only on a miss, outside the shard lock (first insert wins); a
+    /// failed build caches nothing.
+    fn artifact<E>(
         &self,
         key: &str,
-        sys: System,
-        assignment: kpa_assign::Assignment,
-    ) -> Arc<ModelArtifact> {
+        build: impl FnOnce() -> Result<(System, Assignment), E>,
+    ) -> Result<Arc<ModelArtifact>, E> {
         if let Some(a) = self.artifacts.get(&key.to_string()) {
             self.proc.counter("proc.artifact_hits").add(1);
-            return a;
+            return Ok(a);
         }
+        let (sys, assignment) = build()?;
         self.proc.counter("proc.artifact_builds").add(1);
         let built = Arc::new(ModelArtifact::new(Arc::new(sys), assignment));
-        self.artifacts.insert_or_get(key.to_string(), built)
+        Ok(self.artifacts.insert_or_get(key.to_string(), built))
     }
 }
 
@@ -252,20 +256,9 @@ impl Session {
         spec: Option<&catalog::SystemSpec>,
         assignment: &str,
     ) -> Result<Value, ProtoError> {
-        let (key_sys, sys) = match (system, spec) {
-            (Some(name), None) => {
-                let sys = catalog::build_system(name)
-                    .map_err(|m| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m))?;
-                (format!("name:{name}"), sys)
-            }
-            (None, Some(spec)) => {
-                let sys = catalog::build_spec_system(spec)
-                    .map_err(|m| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m))?;
-                (
-                    format!("spec:{}", crate::proto::spec_to_value(spec).to_json()),
-                    sys,
-                )
-            }
+        let key_sys = match (system, spec) {
+            (Some(name), None) => format!("name:{name}"),
+            (None, Some(spec)) => format!("spec:{}", crate::proto::spec_to_value(spec).to_json()),
             // decode() enforces exactly-one; unreachable over the wire.
             _ => {
                 return Err(ProtoError::recoverable(
@@ -274,21 +267,29 @@ impl Session {
                 ))
             }
         };
-        let assign = catalog::build_assignment(assignment, &sys).map_err(|m| {
-            let code = if assignment.starts_with("opp:") {
-                codes::UNKNOWN_AGENT
-            } else {
-                codes::BAD_REQUEST
-            };
-            ProtoError::recoverable(code, m)
-        })?;
         let key = format!("{key_sys};assign:{assignment}");
+        let artifact = self.shared.artifact::<ProtoError>(&key, || {
+            let sys = match spec {
+                Some(spec) => catalog::build_spec_system(spec),
+                None => catalog::build_system(system.unwrap_or_default()),
+            }
+            .map_err(|m| ProtoError::recoverable(codes::UNKNOWN_SYSTEM, m))?;
+            let assign = catalog::build_assignment(assignment, &sys).map_err(|m| {
+                let code = if assignment.starts_with("opp:") {
+                    codes::UNKNOWN_AGENT
+                } else {
+                    codes::BAD_REQUEST
+                };
+                ProtoError::recoverable(code, m)
+            })?;
+            Ok((sys, assign))
+        })?;
+        let sys = artifact.system();
         let agents: Vec<Value> = (0..sys.agent_count())
             .map(|a| Value::Str(sys.agent_name(kpa_system::AgentId(a)).to_string()))
             .collect();
         let trees = sys.tree_count();
         let horizon = sys.horizon();
-        let artifact = self.shared.artifact(&key, sys, assign);
         let points = artifact
             .ctx()
             .sat(&kpa_logic::Formula::True)
@@ -874,6 +875,23 @@ mod tests {
         assert!(shared.preload("nope", "post").is_err());
         assert!(shared.preload("die", "opp:zz").is_err());
         assert_eq!(shared.artifact_count(), 1);
+    }
+
+    #[test]
+    fn warm_load_builds_nothing() {
+        let shared = Arc::new(SharedState::new());
+        let key = shared.preload("die", "post").expect("preload die");
+        let cached = shared
+            .artifact::<String>(&key, || unreachable!("a cached key must not build"))
+            .expect("cache hit");
+        let mut s = Session::open(Arc::clone(&shared));
+        let (frame, _) = s.handle(&env(
+            r#"{"v":1,"op":"load","system":"die","assignment":"post"}"#,
+        ));
+        assert!(frame.to_json().contains("\"ok\":true"));
+        let pinned = &s.pinned.as_ref().expect("load pins a model").artifact;
+        assert!(Arc::ptr_eq(&cached, pinned));
+        assert_eq!(shared.proc().counter("proc.artifact_builds").get(), 1);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! kernel traffic, pool scheduling, build times (equivalently, set
 //! `KPA_TRACE=1` in the environment).
 //!
-//! `--trace-events` (implies `--trace`) additionally dumps the event
-//! ring, the per-site span summary, the flamegraph-foldable span
-//! stacks, and the Chrome `trace_event` JSON for the run — paste the
-//! latter into `chrome://tracing` / Perfetto to see the request tree
-//! on a timeline.
+//! `--trace-events` (implies `--trace`) additionally prints the
+//! per-site span totals (count, total and max ns), the
+//! flamegraph-foldable span stacks, and the Chrome `trace_event` JSON
+//! for the run — paste the latter into `chrome://tracing` / Perfetto
+//! to see the request tree on a timeline.
 //!
 //! `--shared N` re-answers the formula from `N` threads sharing one
 //! `Arc<ModelArtifact>` (the concurrent query path), checks every
@@ -471,7 +471,7 @@ mod tests {
         ]))
         .unwrap();
         kpa_trace::set_enabled(false);
-        // --trace-events implies --trace and dumps rings/spans/exports.
+        // --trace-events implies --trace and dumps span sites/stacks/exports.
         run(&argv(&[
             "--system",
             "secret-coin",

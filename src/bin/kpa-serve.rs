@@ -204,5 +204,7 @@ mod tests {
             "nope"
         ]))
         .is_err());
+        // So is a zero idle timeout (the socket read timeout).
+        assert!(run(&argv(&["--addr", "127.0.0.1:0", "--idle-secs", "0"])).is_err());
     }
 }

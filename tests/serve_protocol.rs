@@ -21,7 +21,8 @@ use kpa::serve::json::Value;
 use kpa::serve::{
     Client, ClientError, QueryItem, QueryKind, ServeConfig, Server, SpecRound, SystemSpec,
 };
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// A config with short limits, so limit paths run in test time.
 fn tight_config() -> ServeConfig {
@@ -29,7 +30,6 @@ fn tight_config() -> ServeConfig {
         max_frame: 1 << 12,
         max_batch: 8,
         idle_timeout: Duration::from_millis(400),
-        poll: Duration::from_millis(10),
         ..ServeConfig::default()
     }
 }
@@ -175,6 +175,30 @@ fn oversized_and_truncated_frames() {
     c.hello().expect("server still healthy");
     c.load_named("die", "post").expect("load");
     c.bye().expect("bye");
+    server.shutdown();
+}
+
+/// `max_frame` is an exact bound on the line, whatever the read
+/// boundaries: a line of exactly `max_frame` bytes reaches the parser,
+/// one byte more is `frame_too_long` and closes the connection.
+#[test]
+fn max_frame_is_an_exact_line_bound() {
+    let config = tight_config();
+    let max = config.max_frame;
+    let mut server = Server::bind(config).expect("bind");
+
+    let mut c = connect(&server);
+    c.send_raw(&vec![b'a'; max]).expect("send");
+    let (code, fatal) = error_of(&c.recv_frame().expect("reply"));
+    assert_eq!(code, "bad_json", "a {max}-byte line is parsed");
+    assert!(fatal);
+
+    let mut c = connect(&server);
+    c.send_raw(&vec![b'a'; max + 1]).expect("send");
+    let (code, fatal) = error_of(&c.recv_frame().expect("reply"));
+    assert_eq!(code, "frame_too_long", "a {}-byte line is refused", max + 1);
+    assert!(fatal);
+    assert_closed(&mut c);
     server.shutdown();
 }
 
@@ -466,39 +490,88 @@ fn connection_limit_is_a_structured_refusal() {
     a.load_named("die", "post").expect("still served");
     drop(a);
     drop(b);
-    // Freed slots readmit new connections (allow a poll tick for the
-    // accept loop to observe the closes).
-    std::thread::sleep(Duration::from_millis(100));
-    let mut d = connect(&server);
+    // Freed slots readmit new connections. The server notices the
+    // closes asynchronously, so retry (bounded) while it still reports
+    // the slots as taken.
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let mut d = loop {
+        let mut d = connect(&server);
+        match d.hello() {
+            Ok(_) => break d,
+            Err(ClientError::Server { code, .. }) if code == "server_busy" => {}
+            // A refused socket may be reset before its frame is read.
+            Err(ClientError::Io(_)) => {}
+            Err(other) => panic!("unexpected reply while waiting for a slot: {other}"),
+        }
+        assert!(Instant::now() < give_up, "freed slots never readmitted");
+        std::thread::sleep(Duration::from_millis(10));
+    };
     d.hello().expect("slot freed");
     server.shutdown();
+}
+
+/// Every connection sees a fatal `shutting_down` frame or, if the
+/// close raced ahead of the read, a clean EOF — never a hang.
+fn assert_shut_down(client: &mut Client) {
+    match client.recv_frame() {
+        Ok(frame) => {
+            let (code, fatal) = error_of(&frame);
+            assert_eq!(code, "shutting_down");
+            assert!(fatal);
+        }
+        Err(ClientError::Io(e)) => {
+            assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "hang at shutdown");
+        }
+        Err(other) => panic!("unexpected reply at shutdown: {other}"),
+    }
 }
 
 #[test]
 fn shutdown_notifies_live_connections() {
     let mut server = Server::bind(tight_config()).expect("bind");
+    let addr = server.local_addr();
+    // One active connection with a pinned model, one idle after its
+    // handshake.
     let mut c = connect(&server);
     c.hello().expect("hello");
+    c.load_named("die", "post").expect("load");
     let mut idle = connect(&server);
     idle.hello().expect("hello");
-    server.shutdown();
-    // Both connections got a fatal shutting_down frame (or, if the
-    // close raced ahead of the read, a clean EOF).
+    // Shutdown must wake every blocked read: a hang fails here in
+    // seconds instead of wedging the test binary.
+    let (done_tx, done_rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).expect("report shutdown");
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown returned within 5 s");
+    stopper.join().expect("shutdown thread");
     for client in [&mut c, &mut idle] {
-        match client.recv_frame() {
-            Ok(frame) => {
-                let (code, fatal) = error_of(&frame);
-                assert_eq!(code, "shutting_down");
-                assert!(fatal);
-            }
-            Err(ClientError::Io(e)) => {
-                assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "hang at shutdown");
-            }
-            Err(other) => panic!("unexpected reply at shutdown: {other}"),
-        }
+        assert_shut_down(client);
     }
     // New connections are refused outright (listener is gone).
-    assert!(
-        Client::connect_with_deadline(server.local_addr(), Duration::from_millis(200)).is_err()
-    );
+    assert!(Client::connect_with_deadline(addr, Duration::from_millis(200)).is_err());
+}
+
+#[test]
+fn dropping_a_server_shuts_it_down() {
+    let server = Server::bind(tight_config()).expect("bind");
+    let addr = server.local_addr();
+    let mut c = connect(&server);
+    c.hello().expect("hello");
+    drop(server);
+    assert_shut_down(&mut c);
+    assert!(Client::connect_with_deadline(addr, Duration::from_millis(200)).is_err());
+}
+
+#[test]
+fn zero_idle_timeout_is_invalid_input() {
+    let config = ServeConfig {
+        idle_timeout: Duration::ZERO,
+        ..tight_config()
+    };
+    let err = Server::bind(config).expect_err("a zero read timeout is rejected");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
